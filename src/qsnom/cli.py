@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -93,9 +94,12 @@ class RunConfig:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -520,6 +524,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides = parse_overrides(args.overrides)
         cfg = resolve_config(file_entries, overrides)
         log.debug("resolved config: %s", cfg)
+        if args.out is not None and _meta_path(args.out) == args.out:
+            raise ConfigError(
+                f"--out {args.out} is its own .meta sidecar path;"
+                " choose an output name without the .meta suffix"
+            )
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -6,6 +6,13 @@ Hermitian perturbation ``V`` the second-order shift is the sum over
 intermediate levels ``m`` of ``|<m|V|n>|^2 / (E_n - E_m)``, and the
 first-order state mixes in each ``|m>`` with coefficient
 ``<m|V|n> / (E_n - E_m)``.
+
+The exact cross-check diagonalizes only the block of basis states that
+``V`` links to the reference level, directly or through other states.
+Because ``H0`` is diagonal, every entry of ``H0 + V`` between that block
+and the remaining states is exactly zero, so the block's eigenpairs are
+exact eigenpairs of the full operator; no property of the physical
+model is assumed.
 """
 
 from __future__ import annotations
@@ -70,10 +77,14 @@ def _check_inputs(h0: OperatorMatrix, v: OperatorMatrix, state_index: int) -> No
         raise ValueError(
             f"state_index {state_index} outside 0..{h0.side - 1}"
         )
-    off = h0.entries - np.diag(np.diag(h0.entries))
-    if np.any(off != 0):
+    diag = np.diag(h0.entries)
+    off_diagonal = np.count_nonzero(h0.entries) - np.count_nonzero(diag)
+    # a non-finite diagonal entry is not diagonal either: it leaves a NaN
+    # in h0 - diag(diag(h0))
+    if off_diagonal or not np.isfinite(diag).all():
         raise ValueError("h0 must be diagonal (engine works in its eigenbasis)")
-    if not h0.is_hermitian():
+    # OperatorMatrix.is_hermitian() for a diagonal matrix
+    if not 2 * np.max(np.abs(diag.imag)) <= 1e-12 * np.max(np.abs(diag)):
         raise NotHermitianError("h0 diagonal must be real")
     if not v.is_hermitian():
         raise NotHermitianError("perturbation v must be Hermitian")
@@ -94,14 +105,16 @@ def rs_pt2(
         of the reference level.
     """
     _check_inputs(h0, v, state_index)
-    energies = np.real(np.diag(h0.entries))
+    diag = np.diag(h0.entries)
+    energies = diag.real
     n = state_index
     column = v.entries[:, n]
-    coupled = [m for m in range(h0.side) if m != n and column[m] != 0]
-    tol_deg = degeneracy_tol_scale * float(np.max(np.abs(h0.entries)))
+    coupled = np.flatnonzero(column)
+    coupled = coupled[coupled != n]
+    tol_deg = degeneracy_tol_scale * float(np.max(np.abs(diag)))
 
     gaps: list[tuple[int, float]] = []
-    for m in coupled:
+    for m in coupled.tolist():
         gap = float(energies[n] - energies[m])
         if abs(gap) <= tol_deg:
             raise DegenerateGapError(
@@ -128,6 +141,22 @@ def rs_pt2(
     )
 
 
+def _linked_block(v: np.ndarray, start: int) -> np.ndarray:
+    """Sorted indices reachable from ``start`` through nonzero entries of ``v``.
+
+    Links are followed along rows and columns alike, so the set is
+    closed under both ``v[i, j] != 0`` and ``v[j, i] != 0``.
+    """
+    seen = np.zeros(v.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        linked = (v[frontier, :] != 0).any(axis=0) | (v[:, frontier] != 0).any(axis=1)
+        frontier = np.flatnonzero(linked & ~seen)
+        seen[frontier] = True
+    return np.flatnonzero(seen)
+
+
 def validate_against_exact(
     h0: OperatorMatrix,
     v: OperatorMatrix,
@@ -136,16 +165,22 @@ def validate_against_exact(
 ) -> ExactComparison:
     """Compare the second-order energy against exact diagonalization.
 
-    The exact level is the eigenvector of ``H0 + V`` with the largest
-    squared overlap against the reference basis state; the match must
-    exceed ``overlap_threshold`` or the pairing is ambiguous. The
+    Only the principal block of ``H0 + V`` on the basis states linked to
+    ``state_index`` through nonzero entries of ``V`` is diagonalized.
+    ``H0`` is diagonal, so the entries coupling that block to the other
+    states are exactly zero and its eigenpairs are exact eigenpairs of
+    ``H0 + V``. The exact level is the block eigenvector with the
+    largest squared overlap against the reference basis state; the match
+    must exceed ``overlap_threshold`` or the pairing is ambiguous. The
     residual is ``|exact - (e0 + e1 + e2)|``; it shrinks like the fourth
     power of the coupling in the perturbative regime.
     """
     result = rs_pt2(h0, v, state_index)
-    total = OperatorMatrix(h0.dims, h0.entries + v.entries)
-    decomposition = eigh(total)
-    weights = np.abs(decomposition.eigenvectors[state_index, :]) ** 2
+    block = _linked_block(v.entries, state_index)
+    sub = v.entries[np.ix_(block, block)] + np.diag(np.diag(h0.entries)[block])
+    decomposition = eigh(OperatorMatrix((block.size,), sub))
+    local = int(np.searchsorted(block, state_index))
+    weights = np.abs(decomposition.eigenvectors[local, :]) ** 2
     best = int(np.argmax(weights))
     if weights[best] < overlap_threshold:
         raise AmbiguousMatchingError(

@@ -68,6 +68,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="omega_eV"):
             resolve_config({}, {"omega_eV": "fast"})
 
+    def test_non_finite_file_entry_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epsilon_d = inf\n")
+        with pytest.raises(ConfigError, match="epsilon_d must be finite"):
+            resolve_config(read_config_file(path), {})
+
 
 class TestExitCodes:
     def test_ok(self, capsys):
@@ -110,6 +116,31 @@ class TestExitCodes:
     def test_invert_requires_observation(self, capsys):
         assert main(["invert"]) == EXIT_CONFIG
         assert "observed_omega_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("simulate", "R_nm=inf"),
+            ("simulate", "kappa=nan"),
+            ("oracle-check", "oracle_heights_nm=1,inf"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(
+        self, tmp_path, capsys, command, override
+    ):
+        out = tmp_path / "report.txt"
+        code = main([command, "--set", override, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{override.split('=')[0]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_that_is_its_own_sidecar_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run.meta"
+        assert main(["simulate", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "sidecar" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestLogging:

@@ -60,6 +60,22 @@ class TestConsistencyReport:
         assert row.beta1_oracle == pytest.approx(row.beta1_closed, abs=1e-7)
 
 
+class TestExactShift:
+    def test_photon_register_size_leaves_exact_shift_unchanged(self):
+        # the coupling links (g,g,1) to (e,e,1) only, at every n_max
+        small = consistency_report(1.5, HEIGHTS, kappa=0.05, n_max=1)
+        large = consistency_report(1.5, HEIGHTS, kappa=0.05, n_max=64)
+        alpha = small.rows[0].alpha
+        half_gap = 1.0 * (1 + alpha**2) / 2
+        for a, b in zip(small.rows, large.rows):
+            assert b.delta_e_exact == pytest.approx(a.delta_e_exact, rel=1e-9)
+            # lower eigenvalue of the 2x2 block, written without cancellation
+            g = b.g
+            analytic = -(g**2) / (half_gap + math.sqrt(half_gap**2 + g**2))
+            # the shift is a difference of O(1) level energies: allow a few ulp
+            assert b.delta_e_exact == pytest.approx(analytic, rel=1e-9, abs=1e-15)
+
+
 class TestEdgeCases:
     def test_vacuum_sample_is_inert(self):
         report = consistency_report(1.0, HEIGHTS)

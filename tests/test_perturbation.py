@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsnom.dipole import DielectricSample, TipDipole, derive_image
@@ -140,6 +140,18 @@ class TestInputChecks:
         # the ground state couples through the sum gap and stays safe
         assert rs_pt2(h0, v, 0).e2 < 0.0
 
+    def test_non_finite_h0_diagonal_is_not_diagonal(self):
+        v = OperatorMatrix((2,), SIGMA_X)
+        for bad in (math.nan, math.inf):
+            h0 = OperatorMatrix((2,), np.diag([0.0, bad]))
+            with pytest.raises(ValueError, match="diagonal"):
+                rs_pt2(h0, v, 0)
+
+    def test_complex_h0_diagonal_rejected(self):
+        h0 = OperatorMatrix((2,), np.diag([0.0, 1.0 + 1e-6j]))
+        with pytest.raises(NotHermitianError, match="real"):
+            rs_pt2(h0, OperatorMatrix((2,), SIGMA_X), 0)
+
     def test_uncoupled_degeneracy_is_fine(self):
         h0 = OperatorMatrix((3,), np.diag([0.0, 0.0, 1.0]))
         v = np.zeros((3, 3), dtype=complex)
@@ -204,3 +216,50 @@ class TestExactComparison:
         gap = 1.25
         exact = 1.0 + (gap - math.sqrt(gap * gap + 4 * 0.01**2)) / 2
         assert comparison.exact_energy == pytest.approx(exact, abs=1e-13)
+
+
+def scattered_blocks(sizes, seed, density):
+    """Diagonal h0 and a perturbation that is block diagonal up to a
+    random permutation of the basis."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    packed = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        raw *= rng.random((size, size)) < density
+        packed[start:start + size, start:start + size] = (raw + raw.conj().T) / 2
+        start += size
+    perm = rng.permutation(n)
+    v = np.zeros_like(packed)
+    v[np.ix_(perm, perm)] = packed
+    h0 = np.diag(rng.uniform(-5.0, 5.0, size=n))
+    return OperatorMatrix((n,), h0), OperatorMatrix((n,), v)
+
+
+class TestBlockRestriction:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.3, 0.7, 1.0]),
+        pick=st.integers(0, 15),
+    )
+    def test_agrees_with_dense_diagonalization(self, sizes, seed, density, pick):
+        h0, v = scattered_blocks(sizes, seed, density)
+        index = pick % h0.side
+        total = h0.entries + v.entries
+        scale = float(np.max(np.abs(total)))
+        values, vectors = np.linalg.eigh(total)
+        weights = np.abs(vectors[index, :]) ** 2
+        best = int(np.argmax(weights))
+        # eigenvectors, hence overlaps, are unique only without degeneracy
+        assume(np.min(np.diff(values), initial=np.inf) > 1e-6 * scale)
+        assume(abs(weights[best] - 0.5) > 1e-6)
+        if weights[best] < 0.5:
+            with pytest.raises(AmbiguousMatchingError):
+                validate_against_exact(h0, v, index)
+            return
+        comparison = validate_against_exact(h0, v, index)
+        assert abs(comparison.exact_energy - values[best]) <= 1e-12 * scale
+        assert comparison.overlap == pytest.approx(weights[best], abs=1e-9)
