@@ -16,10 +16,12 @@ import csv
 import logging
 import math
 import os
+import secrets
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -197,7 +199,10 @@ def parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"--set repeats key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 
@@ -265,8 +270,27 @@ def _meta_path(out: Path) -> Path:
     return out.with_suffix(".meta")
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Open a new file beside ``path`` and rename it onto ``path`` on success.
+
+    If the block raises, the new file is removed and ``path`` keeps its
+    old content. The new file gets the permissions a plain ``open``
+    would give it.
+    """
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(text)
 
 
@@ -279,7 +303,7 @@ def _write_meta(out: Path, cfg: RunConfig, command: str) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

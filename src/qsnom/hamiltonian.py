@@ -28,10 +28,6 @@ __all__ = [
     "regime_warnings",
 ]
 
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Photon register size and coupling prefactor.
@@ -132,14 +128,19 @@ def build_delta_h(g: float, cfg: ModelConfig | None = None) -> OperatorMatrix:
     raising/lowering operators on the two dipoles (both raised, both
     lowered, and the two exchange terms), tensored with the identity on
     the photon register. Its diagonal is zero and it conserves the
-    parity of the total dipole excitation number.
+    parity of the total dipole excitation number. With ``L`` photon
+    levels its only nonzero entries are ``-g`` at row ``p*L + n`` and
+    column ``q*L + n`` for (p, q) in {(0,3), (1,2), (2,1), (3,0)} and
+    every photon number ``n``.
     """
-    flip = SIGMA_PLUS + SIGMA_MINUS
-    pair = -g * (np.kron(flip, flip))
-    if cfg is None:
-        return OperatorMatrix((2, 2), pair)
-    levels = cfg.n_max + 1
-    return OperatorMatrix((2, 2, levels), np.kron(pair, np.eye(levels)))
+    levels = 1 if cfg is None else cfg.n_max + 1
+    side = 4 * levels
+    entries = np.zeros((side, side), dtype=complex)
+    n = np.arange(levels)
+    for p, q in ((0, 3), (1, 2), (2, 1), (3, 0)):
+        entries[p * levels + n, q * levels + n] = -g
+    dims = (2, 2) if cfg is None else (2, 2, levels)
+    return OperatorMatrix(dims, entries)
 
 
 def regime_warnings(
@@ -154,9 +155,10 @@ def regime_warnings(
     positive gap of the free spectrum; the build itself never fails on
     this.
     """
-    energies = _h0_energies(tip, image, cfg)
-    diffs = np.abs(energies[:, None] - energies[None, :])
-    positive = diffs[diffs > 0]
+    # Rounding is monotone, so the smallest positive |E_i - E_j| always
+    # lies between neighbours of the sorted spectrum.
+    gaps = np.diff(np.sort(_h0_energies(tip, image, cfg)))
+    positive = gaps[gaps > 0]
     if positive.size == 0:
         if g > 0:
             return ("perturbative regime: free spectrum is fully degenerate",)

@@ -16,8 +16,14 @@ from scipy.optimize import brentq
 
 from . import closedform
 from .dipole import DielectricSample, TipDipole, derive_image, near_field_check
-from .errors import NoConvergenceError, OutOfBracketError
-from .hamiltonian import ModelConfig, basis_index, build_hamiltonian_pair
+from .errors import NoConvergenceError, OutOfBracketError, QsnomError
+from .hamiltonian import (
+    ModelConfig,
+    basis_index,
+    build_hamiltonian_pair,
+    coupling_constant,
+    regime_warnings,
+)
 from .perturbation import rs_pt2
 
 __all__ = [
@@ -115,8 +121,10 @@ def forward(
     """Map a permittivity to the scattered-photon observables.
 
     ``method`` selects the closed-form route (default) or the numeric
-    second-order route for comparison studies. Regime and near-field
-    violations are returned as warnings, never raised.
+    second-order route for comparison studies. Only the numeric route
+    builds the (H0, coupling) matrices; the closed route computes ``g``
+    and the regime check from scalars. Regime and near-field violations
+    are returned as warnings, never raised.
     """
     if method not in ("closed", "oracle"):
         raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
@@ -124,17 +132,11 @@ def forward(
     tip = TipDipole(omega=omega, height_nm=height_nm)
     image = derive_image(tip, sample)
     cfg = ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa)
-    pair = build_hamiltonian_pair(tip, sample, cfg)
-
-    warnings = list(pair.warnings)
     field_report = near_field_check(tip, image, near_field_factor)
-    if not field_report.passed:
-        warnings.append(
-            f"near-field check failed: separation/wavelength ratio "
-            f"{field_report.ratio:.6g} is not below factor {field_report.factor:g}"
-        )
 
     if method == "closed":
+        g = coupling_constant(tip, sample, cfg)
+        warnings = list(regime_warnings(tip, image, cfg, g))
         report = closedform.photon_report(
             closedform.InitialCoefficients.ground_state(),
             height_nm,
@@ -146,16 +148,25 @@ def forward(
         omega_s = report.omega_s
         amplitude = report.amplitude
     else:
+        pair = build_hamiltonian_pair(tip, sample, cfg)
+        g = pair.g
+        warnings = list(pair.warnings)
         index = basis_index(0, 0, 1, cfg.n_max + 1)
         result = rs_pt2(pair.h0, pair.delta_h, index)
         delta_e = result.e2
         omega_s = closedform.scattered_frequency(omega, delta_e)
         amplitude = float(np.real(result.normalized_coefficients[index]))
 
+    if not field_report.passed:
+        warnings.append(
+            f"near-field check failed: separation/wavelength ratio "
+            f"{field_report.ratio:.6g} is not below factor {field_report.factor:g}"
+        )
+
     return ForwardResult(
         epsilon_d=sample.epsilon_d,
         alpha=sample.alpha,
-        g=pair.g,
+        g=g,
         delta_e=delta_e,
         omega_s=omega_s,
         amplitude=amplitude,
@@ -326,27 +337,30 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict[str, object]:
             params["kappa"],
             near_field_factor=spec.near_field_factor,
         )
-        oracle = forward(
-            params["epsilon_d"],
-            params["R"],
-            params["omega"],
-            params["kappa"],
-            near_field_factor=spec.near_field_factor,
-            method="oracle",
-        )
         available: dict[str, object] = {
             "alpha": fr.alpha,
             "g_eV": fr.g,
             "delta_e_closed_eV": fr.delta_e,
-            "delta_e_oracle_eV": oracle.delta_e,
             "omega_s": fr.omega_s,
             "amplitude": fr.amplitude,
             "near_field_ratio": fr.near_field_ratio,
         }
+        if "delta_e_oracle_eV" in spec.outputs:
+            available["delta_e_oracle_eV"] = forward(
+                params["epsilon_d"],
+                params["R"],
+                params["omega"],
+                params["kappa"],
+                near_field_factor=spec.near_field_factor,
+                method="oracle",
+            ).delta_e
         for name in spec.outputs:
             row[name] = available[name]
         row["warnings"] = "; ".join(fr.warnings)
-    except Exception as exc:  # per-point capture keeps the sweep going
+    # a model failure at one point (including float overflow or division
+    # by zero at extreme axis values) is recorded and the sweep goes on;
+    # anything else is a bug and propagates
+    except (QsnomError, ValueError, ArithmeticError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -355,8 +369,10 @@ def run_sweep(spec: SweepSpec) -> list[dict[str, object]]:
     """Evaluate the forward map on every axis value.
 
     Each row carries the axis value, the selected outputs, a joined
-    warnings string, and an error column; a failing point fills the
-    error column and leaves its outputs empty instead of aborting the
-    sweep.
+    warnings string, and an error column. The numeric route runs only
+    when ``delta_e_oracle_eV`` is selected. A point that fails with a
+    model error (:class:`QsnomError`, ``ValueError`` or
+    ``ArithmeticError``) fills the error column and leaves its outputs
+    empty instead of aborting the sweep; any other exception propagates.
     """
     return [_sweep_point(spec, v) for v in spec.values]

@@ -1,8 +1,9 @@
 import logging
+import os
 
 import pytest
 
-from qsnom import crosscheck
+from qsnom import cli, crosscheck
 from qsnom.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -134,6 +135,13 @@ class TestExitCodes:
         assert f"{override.split('=')[0]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_set_key_is_config_error(self, capsys):
+        code = main(["simulate", "--set", "kappa=0.1", "--set", "kappa=0.2"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "kappa" in captured.err
+        assert captured.out == ""
+
     def test_out_that_is_its_own_sidecar_rejected(self, tmp_path, capsys):
         out = tmp_path / "run.meta"
         assert main(["simulate", "--out", str(out)]) == EXIT_CONFIG
@@ -141,6 +149,45 @@ class TestExitCodes:
         assert "sidecar" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_out_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "table.csv"
+        args = [
+            "sweep",
+            "--set", "sweep_axis=epsilon_d",
+            "--set", "sweep_values=1,3,11.7",
+            "--out", str(out),
+        ]
+        assert main(args) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cell cannot be formatted")
+
+        rows = [
+            {"axis_value": v, "warnings": "", "error": ""} for v in (1.0, 2.0)
+        ]
+        for row in rows:
+            row.update(dict.fromkeys(cli.SWEEP_OUTPUTS, 0.5))
+        rows[1]["error"] = Unprintable()
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: rows)
+        with pytest.raises(RuntimeError, match="cannot be formatted"):
+            main(args)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_new_file_has_plain_open_permissions(self, tmp_path, capsys):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("x")
+        out = tmp_path / "report.txt"
+        assert main(["simulate", "--out", str(out)]) == EXIT_OK
+        mode = os.stat(out).st_mode & 0o777
+        assert mode == os.stat(reference).st_mode & 0o777
+        assert out.read_text() == capsys.readouterr().out
 
 
 class TestLogging:

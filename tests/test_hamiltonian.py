@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnom.dipole import DielectricSample, TipDipole, derive_image
 from qsnom.hamiltonian import (
@@ -135,6 +137,19 @@ class TestCouplingTerm:
     def test_zero_coupling_is_zero_matrix(self):
         assert np.all(build_delta_h(0.0, None).entries == 0)
 
+    @pytest.mark.parametrize("g", [0.0, 0.37, 5.0, 1e-300])
+    def test_equals_kron_construction(self, g):
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        pair = -g * np.kron(flip, flip)
+        got = build_delta_h(g, None)
+        assert got.dims == (2, 2)
+        assert np.array_equal(got.entries, pair)
+        for n_max in range(1, 21):
+            levels = n_max + 1
+            got = build_delta_h(g, ModelConfig(n_max=n_max))
+            assert got.dims == (2, 2, levels)
+            assert np.array_equal(got.entries, np.kron(pair, np.eye(levels)))
+
 
 class TestAssembledPair:
     def test_g_matches_constant(self):
@@ -167,6 +182,41 @@ class TestAssembledPair:
         sample, tip, _, cfg = make_parts(3.0, height=1.0, kappa=0.05)
         pair = build_hamiltonian_pair(tip, sample, cfg)
         assert pair.warnings == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+        omega=st.floats(0.05, 5.0),
+        photon=st.one_of(st.none(), st.floats(0.05, 5.0), st.just("tip")),
+        n_max=st.one_of(st.none(), st.integers(1, 40)),
+        g=st.floats(0.0, 2.0),
+    )
+    def test_regime_warning_matches_all_pairs_reference(
+        self, epsilon_d, omega, photon, n_max, g
+    ):
+        """Neighbour gaps of the sorted spectrum give the same warning as
+        the smallest positive |E_i - E_j| over all pairs."""
+        tip = TipDipole(omega=omega, height_nm=1.0)
+        image = derive_image(tip, DielectricSample(epsilon_d))
+        photon_energy = omega if photon == "tip" else photon
+        cfg = None if n_max is None else ModelConfig(n_max, photon_energy)
+        energies = np.diag(build_h0(tip, image, cfg).entries).real
+        diffs = np.abs(energies[:, None] - energies[None, :])
+        positive = diffs[diffs > 0]
+        if positive.size == 0:
+            expected = (
+                ("perturbative regime: free spectrum is fully degenerate",)
+                if g > 0
+                else ()
+            )
+        elif g > 0.1 * positive.min():
+            expected = (
+                f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
+                f"positive level spacing {positive.min():.6g} eV",
+            )
+        else:
+            expected = ()
+        assert regime_warnings(tip, image, cfg, g) == expected
 
     def test_regime_guard_uses_min_positive_gap(self):
         _, tip, image, cfg = make_parts(3.0)

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsnom import inversion
+from qsnom.dipole import DielectricSample, TipDipole
 from qsnom.errors import OutOfBracketError, ShiftExceedsGapError
+from qsnom.hamiltonian import ModelConfig, build_hamiltonian_pair
 from qsnom.inversion import (
     SWEEP_OUTPUTS,
     ForwardResult,
@@ -72,6 +77,44 @@ class TestForward:
     def test_method_validated(self):
         with pytest.raises(ValueError, match="method"):
             forward(3.0, 0.5, 1.0, 1.0, method="exact")
+
+    def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed route built the Hamiltonian pair")
+
+        monkeypatch.setattr(inversion, "build_hamiltonian_pair", refuse)
+        result = forward(3.0, 0.5, 1.0, 1.0, n_max=7, photon_energy=0.3)
+        assert result.g == pytest.approx(0.5, rel=1e-15)
+        assert any("perturbative regime" in w for w in result.warnings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+        height_nm=st.floats(0.3, 5.0),
+        omega=st.floats(0.1, 3.0),
+        # kappa below sqrt((2R)^3) * omega keeps the closed-form shift
+        # under half the gap, so the forward map always succeeds
+        kappa_fraction=st.floats(0.01, 1.0),
+        n_max=st.integers(1, 12),
+        photon=st.one_of(st.none(), st.floats(0.05, 5.0), st.just("tip")),
+    )
+    def test_closed_route_g_and_warnings_match_hamiltonian_pair(
+        self, epsilon_d, height_nm, omega, kappa_fraction, n_max, photon
+    ):
+        kappa = kappa_fraction * math.sqrt((2 * height_nm) ** 3) * omega
+        photon_energy = omega if photon == "tip" else photon
+        result = forward(
+            epsilon_d, height_nm, omega, kappa,
+            n_max=n_max, photon_energy=photon_energy,
+        )
+        pair = build_hamiltonian_pair(
+            TipDipole(omega=omega, height_nm=height_nm),
+            DielectricSample(epsilon_d),
+            ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa),
+        )
+        assert result.g == pair.g
+        extra = () if result.near_field_passed else result.warnings[-1:]
+        assert result.warnings == pair.warnings + extra
 
 
 class TestInversion:
@@ -245,6 +288,56 @@ class TestRunSweep:
         )
         rows = run_sweep(spec)
         assert set(rows[0]) == {"axis_value", "omega_s", "warnings", "error"}
+
+    def test_closed_outputs_do_not_need_the_oracle_route(self):
+        # at R = 0.3 nm only the numeric route's shift reaches the gap
+        spec = SweepSpec(
+            axis="R",
+            values=(0.3, 0.5, 1.0),
+            fixed={"epsilon_d": 3.0, "omega": 1.0, "kappa": 1.0},
+            outputs=("omega_s",),
+        )
+        rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == ["", "", ""]
+        assert rows[0]["omega_s"] == pytest.approx(
+            1.0 - 0.25 / (0.6**3 * 1.25), rel=1e-14
+        )
+        assert rows[0]["omega_s"] == pytest.approx(0.074, abs=5e-4)
+
+    def test_oracle_column_still_reports_oracle_failure(self):
+        spec = SweepSpec(
+            axis="R",
+            values=(0.3, 1.0),
+            fixed={"epsilon_d": 3.0, "omega": 1.0, "kappa": 1.0},
+            outputs=("omega_s", "delta_e_oracle_eV"),
+        )
+        rows = run_sweep(spec)
+        assert rows[0]["error"].startswith("ShiftExceedsGapError:")
+        assert rows[0]["omega_s"] is None
+        assert rows[1]["error"] == ""
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the forward map")
+
+        monkeypatch.setattr(inversion, "forward", broken)
+        spec = SweepSpec(
+            axis="epsilon_d",
+            values=(1.0, 3.0),
+            fixed={"R": 0.5, "omega": 1.0, "kappa": 1.0},
+        )
+        with pytest.raises(RuntimeError, match="bug in the forward map"):
+            run_sweep(spec)
+
+    def test_float_overflow_is_recorded(self):
+        spec = SweepSpec(
+            axis="R",
+            values=(1.0, 1e200),
+            fixed={"epsilon_d": 3.0, "omega": 1.0, "kappa": 0.05},
+        )
+        rows = run_sweep(spec)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"].startswith("OverflowError:")
 
     def test_warning_column_joined(self):
         spec = SweepSpec(
