@@ -3,10 +3,11 @@
 Configuration is a flat key=value file; ``--set key=value`` entries win
 over the file, the file wins over defaults, and unknown keys are
 rejected. Exit codes: 0 success, 2 configuration or validation error,
-3 model or runtime error, 4 I/O error. Set ``QSNOM_LOG`` to ``quiet``,
-``info`` or ``debug`` for stderr diagnostics. All table output uses
-17-significant-digit floats and bare newline line endings, so rerunning
-a configuration reproduces the bytes exactly.
+3 model or runtime error (float overflow included), 4 I/O error. Set
+``QSNOM_LOG`` to ``quiet``, ``info`` or ``debug`` for stderr
+diagnostics. All table output uses 17-significant-digit floats and bare
+newline line endings, so rerunning a configuration reproduces the bytes
+exactly.
 """
 
 from __future__ import annotations
@@ -548,6 +549,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides = parse_overrides(args.overrides)
         cfg = resolve_config(file_entries, overrides)
         log.debug("resolved config: %s", cfg)
+        if args.out is not None and not args.out.name:
+            raise ConfigError(
+                f"--out {args.out} names no file; give an output file name"
+            )
         if args.out is not None and _meta_path(args.out) == args.out:
             raise ConfigError(
                 f"--out {args.out} is its own .meta sidecar path;"
@@ -560,7 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except QsnomError as exc:
+    except (QsnomError, ArithmeticError) as exc:
         sys.stderr.write(f"model error: {type(exc).__name__}: {exc}\n")
         return EXIT_MODEL
     except ValueError as exc:

@@ -19,7 +19,10 @@ import numpy as np
 from . import closedform
 from .dipole import DielectricSample, TipDipole
 from .hamiltonian import ModelConfig, basis_index, build_hamiltonian_pair
-from .perturbation import rs_pt2, validate_against_exact
+# rs_pt2 is no longer called here (validate_against_exact returns its
+# result), but perfbench/tracer.py wraps qsnom.crosscheck.rs_pt2 and
+# fails to start without it
+from .perturbation import rs_pt2, validate_against_exact  # noqa: F401
 
 __all__ = ["ConsistencyRow", "ConsistencyReport", "consistency_report"]
 
@@ -83,9 +86,10 @@ def consistency_report(
 
     For each height the reference level is the dipole-pair ground state
     with one photon present. The oracle route is the generic
-    second-order engine validated against exact diagonalization; the
-    closed-form route is :func:`qsnom.closedform.energy_shift` and the
-    first corrected coefficient. Exponents are least-squares slopes of
+    second-order engine validated against exact diagonalization, run
+    once per height; the closed-form route is
+    :func:`qsnom.closedform.energy_shift` and the first corrected
+    coefficient. Exponents are least-squares slopes of
     log|shift| against log height; any engine error propagates.
     """
     if len(heights_nm) == 0:
@@ -100,8 +104,8 @@ def consistency_report(
         pair = build_hamiltonian_pair(tip, sample, cfg)
         index = basis_index(0, 0, 1, cfg.n_max + 1)
 
-        result = rs_pt2(pair.h0, pair.delta_h, index)
         comparison = validate_against_exact(pair.h0, pair.delta_h, index)
+        result = comparison.pt2
         exact_shift = comparison.exact_energy - result.e0
 
         closed_shift = closedform.energy_shift(

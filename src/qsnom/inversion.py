@@ -52,7 +52,13 @@ SWEEP_OUTPUTS = (
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Scattered-photon observables at one parameter point."""
+    """Scattered-photon observables at one parameter point.
+
+    ``amplitude`` depends on the route. On the closed route it is the
+    Euclidean norm of the corrected coefficients, ``||beta||``. On the
+    oracle route it is the real part of the reference level's coefficient
+    in the normalized first-order ket.
+    """
 
     epsilon_d: float
     alpha: float

@@ -62,12 +62,16 @@ class PerturbationResult:
 
 @dataclass(frozen=True)
 class ExactComparison:
-    """Perturbative energy against the matching exact eigenvalue."""
+    """Perturbative energy against the matching exact eigenvalue.
+
+    ``pt2`` is the :func:`rs_pt2` result the comparison was made with.
+    """
 
     pt2_energy: float
     exact_energy: float
     residual: float
     overlap: float
+    pt2: PerturbationResult
 
 
 def _check_inputs(h0: OperatorMatrix, v: OperatorMatrix, state_index: int) -> None:
@@ -173,7 +177,9 @@ def validate_against_exact(
     largest squared overlap against the reference basis state; the match
     must exceed ``overlap_threshold`` or the pairing is ambiguous. The
     residual is ``|exact - (e0 + e1 + e2)|``; it shrinks like the fourth
-    power of the coupling in the perturbative regime.
+    power of the coupling in the perturbative regime. The second-order
+    result is returned as ``pt2``, so callers need not run the engine
+    again.
     """
     result = rs_pt2(h0, v, state_index)
     block = _linked_block(v.entries, state_index)
@@ -194,4 +200,5 @@ def validate_against_exact(
         exact_energy=exact,
         residual=abs(exact - pt2),
         overlap=float(weights[best]),
+        pt2=result,
     )

@@ -109,10 +109,18 @@ class OperatorMatrix:
         return complex(np.trace(self.entries))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = float(np.max(np.abs(self.entries)))
-        if scale == 0.0:
+        """Whether ``max|M - M^dag| <= tol * max|M|`` (an all-zero ``M`` is).
+
+        Only nonzero entries are compared: a pair of mirror entries that
+        are both zero adds 0 to either maximum, and an entry whose mirror
+        is zero deviates by its own magnitude from either side.
+        """
+        rows, cols = np.nonzero(self.entries != 0)
+        if rows.size == 0:
             return True
-        dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        values = self.entries[rows, cols]
+        scale = float(np.abs(values).max())
+        dev = float(np.abs(values - self.entries[cols, rows].conj()).max())
         return dev <= tol * scale
 
 

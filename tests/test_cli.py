@@ -1,7 +1,13 @@
+import io
 import logging
+import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnom import cli, crosscheck
 from qsnom.cli import (
@@ -149,6 +155,33 @@ class TestExitCodes:
         assert "sidecar" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_out_with_empty_name_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "."]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--out . names no file" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, override, error",
+        [
+            ("simulate", "R_nm=1e200", "OverflowError"),
+            ("simulate", "omega_eV=1e-300", "ZeroDivisionError"),
+            ("simulate", "R_nm=1e-300", "ZeroDivisionError"),
+            ("oracle-check", "oracle_heights_nm=1e-300,1", "ZeroDivisionError"),
+        ],
+    )
+    def test_float_overflow_is_model_error(
+        self, tmp_path, capsys, command, override, error
+    ):
+        code = main([command, "--set", override, "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"model error: {error}: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrites:
@@ -391,3 +424,101 @@ class TestOracleCheck:
         lines = out.read_text().splitlines()
         assert len(lines) == 6
         assert sum("DegenerateGapError" in line for line in lines) == 1
+
+
+
+FLOAT_KEYS = (
+    "epsilon_d",
+    "R_nm",
+    "omega_eV",
+    "kappa",
+    "photon_energy_eV",
+    "near_field_factor",
+    "tol_rel",
+    "observed_omega_s",
+    "bracket_lo",
+    "bracket_hi",
+    "sweep_values",
+    "sweep_start",
+    "sweep_stop",
+    "oracle_epsilon_values",
+    "oracle_heights_nm",
+)
+INT_KEYS = ("n_max", "max_iter", "sweep_count")
+# values no check lets through, and values that validation must reject
+HUGE_OR_TINY = st.tuples(
+    st.sampled_from(FLOAT_KEYS), st.sampled_from(("1e300", "1e-300"))
+)
+INVALID_OVERRIDES = st.tuples(
+    st.sampled_from(FLOAT_KEYS + INT_KEYS),
+    st.sampled_from(("nan", "inf", "-1", "0", "-1e300", "-1e-300")),
+)
+PLAIN_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(("0.5", "1", "3"))),
+    st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(("1", "2", "8"))),
+    st.tuples(st.just("forward_method"), st.sampled_from(("closed", "oracle"))),
+    st.tuples(st.just("sweep_axis"), st.sampled_from(cli.SWEEP_AXES)),
+)
+# what each command needs to get past its own checks
+BASE_OVERRIDES = {
+    "simulate": {},
+    "invert": {"observed_omega_s": "0.9999"},
+    "oracle-check": {},
+    "sweep": {"sweep_axis": "epsilon_d", "sweep_values": "1,3"},
+}
+
+
+class TestRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(BASE_OVERRIDES)),
+        plain=st.lists(PLAIN_OVERRIDES, max_size=3),
+        huge_or_tiny=st.lists(HUGE_OR_TINY, max_size=2),
+        invalid=st.lists(INVALID_OVERRIDES, max_size=1),
+        repeat_key=st.sampled_from((False, False, False, True)),
+        out=st.sampled_from(("fresh.txt", None, ".", "x.meta", "existing")),
+    )
+    def test_random_overrides_end_in_a_classed_exit(
+        self, command, plain, huge_or_tiny, invalid, repeat_key, out
+    ):
+        """Every input ends in exit 0, 2, 3 or 4, never in an exception.
+
+        Each run sets a few plain values, up to two of 1e300 and 1e-300
+        and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It may
+        repeat a key, and it writes to a fresh file, to ``.``, to
+        ``x.meta`` or to an existing directory. ``n_max`` stays at most
+        8, since nothing bounds its cost yet. On exit 0 every
+        number that ``simulate`` and ``invert`` print must be finite.
+        ``oracle-check`` is left out of that check: at epsilon_d = 1 every
+        shift is 0 and its CSV holds ``nan`` height exponents with exit 0.
+        """
+        entries = dict(BASE_OVERRIDES[command])
+        entries.update(plain + huge_or_tiny + invalid)
+        pairs = list(entries.items())
+        if repeat_key and pairs:
+            pairs.append(pairs[0])
+        argv = [command]
+        for key, value in pairs:
+            argv += ["--set", f"{key}={value}"]
+        if out is not None:
+            argv += ["--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                os.mkdir("existing")
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO)
+        assert "Traceback" not in stderr.getvalue()
+        if code != EXIT_OK or command not in ("simulate", "invert"):
+            return
+        for key, value in report_dict(stdout.getvalue()).items():
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            assert math.isfinite(number), f"{key}={value} from {argv}"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import qsnom.crosscheck
+import qsnom.perturbation
 from qsnom.crosscheck import ConsistencyReport, consistency_report
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
@@ -58,6 +60,21 @@ class TestConsistencyReport:
         assert row.beta1_closed == pytest.approx(0.9998, rel=1e-12)
         assert 0.0 < row.beta1_abs_diff < 1e-7
         assert row.beta1_oracle == pytest.approx(row.beta1_closed, abs=1e-7)
+
+
+class TestEngineCalls:
+    def test_rs_pt2_runs_once_per_height(self, monkeypatch):
+        calls = []
+        real = qsnom.perturbation.rs_pt2
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qsnom.perturbation, "rs_pt2", counted)
+        monkeypatch.setattr(qsnom.crosscheck, "rs_pt2", counted)
+        consistency_report(3.0, HEIGHTS, kappa=0.05, n_max=8)
+        assert len(calls) == len(HEIGHTS)
 
 
 class TestExactShift:

@@ -11,7 +11,13 @@ from qsnom.errors import (
     DegenerateGapError,
     NotHermitianError,
 )
-from qsnom.hamiltonian import ModelConfig, build_delta_h, build_h0
+from qsnom.hamiltonian import (
+    ModelConfig,
+    basis_index,
+    build_delta_h,
+    build_h0,
+    build_hamiltonian_pair,
+)
 from qsnom.perturbation import rs_pt2, validate_against_exact
 from qsnom.tensor import OperatorMatrix
 
@@ -216,6 +222,24 @@ class TestExactComparison:
         gap = 1.25
         exact = 1.0 + (gap - math.sqrt(gap * gap + 4 * 0.01**2)) / 2
         assert comparison.exact_energy == pytest.approx(exact, abs=1e-13)
+
+    @pytest.mark.parametrize("n_max", [1, 8, 32])
+    def test_returns_the_pt2_result_it_compared(self, n_max):
+        cfg = ModelConfig(n_max=n_max, kappa=0.05)
+        pair = build_hamiltonian_pair(
+            TipDipole(omega=1.0, height_nm=0.5), DielectricSample(3.0), cfg
+        )
+        index = basis_index(0, 0, 1, n_max + 1)
+        got = validate_against_exact(pair.h0, pair.delta_h, index).pt2
+        want = rs_pt2(pair.h0, pair.delta_h, index)
+        assert (got.state_index, got.e0, got.e1, got.e2, got.gap_report) == (
+            want.state_index,
+            want.e0,
+            want.e1,
+            want.e2,
+            want.gap_report,
+        )
+        assert np.array_equal(got.corrected_coefficients, want.corrected_coefficients)
 
 
 def scattered_blocks(sizes, seed, density):

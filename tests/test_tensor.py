@@ -66,6 +66,57 @@ class TestContainers:
         assert not OperatorMatrix((2,), skew).is_hermitian()
 
 
+def dense_is_hermitian(m, tol):
+    """Reference: compare every entry with its mirror."""
+    scale = np.max(np.abs(m))
+    if scale == 0.0:
+        return True
+    return bool(np.max(np.abs(m - m.conj().T)) <= tol * scale)
+
+
+class TestIsHermitian:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        side=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+        nudge=st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, 1e6]),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, 1.0)]),
+        mirrored=st.booleans(),
+        tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    def test_agrees_with_dense_reference(
+        self, side, seed, density, nudge, special, mirrored, tol
+    ):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        raw *= rng.random((side, side)) < density
+        m = (raw + raw.conj().T) / 2
+        # move some entries off their mirror by about nudge * tol * max|M|
+        scale = np.max(np.abs(m), initial=1.0)
+        moved = rng.random((side, side)) < 0.2
+        m[moved] += nudge * tol * scale * np.exp(2j * np.pi * rng.random(moved.sum()))
+        if special is not None:
+            r, c = rng.integers(0, side, size=2)
+            m[r, c] = special
+            if mirrored:
+                m[c, r] = np.conj(special)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = dense_is_hermitian(m, tol)
+            assert OperatorMatrix((side,), m).is_hermitian(tol) is expected
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], False),
+            ([[0.0, 1.0], [1.0 + 1e-13, 0.0]], True),
+            ([[np.nan, 0.0], [0.0, 1.0]], False),
+        ],
+    )
+    def test_edge_cases(self, entries, expected):
+        assert OperatorMatrix((2,), np.array(entries)).is_hermitian() is expected
+
+
 class TestKron:
     def test_sigma_x_with_identity(self):
         out = kron(OperatorMatrix((2,), SIGMA_X), identity((2,)))
