@@ -2,8 +2,10 @@
 
 The emitted frequency decreases strictly with the permittivity, so a
 single measurement inside the attainable band identifies the sample.
-The recovery brackets the answer and bisects; frequencies outside the
-band are rejected with the band printed in the error.
+On the closed route (used here) the recovery inverts the shift in
+closed form and reports ``iterations=0``; the oracle route brackets the
+answer with a root search. Frequencies outside the band are rejected
+with the band printed in the error.
 """
 
 from __future__ import annotations

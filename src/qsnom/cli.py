@@ -442,6 +442,11 @@ def _cmd_sweep(cfg: RunConfig, out: Path | None) -> int:
     return EXIT_OK
 
 
+def _exponent_cell(exponent: float) -> float | None:
+    """An exponent that cannot be fitted (a zero shift) is an empty cell."""
+    return None if math.isnan(exponent) else exponent
+
+
 def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
     if out is None:
         raise ConfigError("oracle-check requires --out for the CSV table")
@@ -478,8 +483,8 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
                     row.pt2_exact_residual,
                     row.beta1_closed,
                     row.beta1_oracle,
-                    report.closed_height_exponent,
-                    report.oracle_height_exponent,
+                    _exponent_cell(report.closed_height_exponent),
+                    _exponent_cell(report.oracle_height_exponent),
                     report.scaling_mismatch,
                     "; ".join(row.warnings),
                     "",

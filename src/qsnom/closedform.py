@@ -227,13 +227,20 @@ def photon_report(
     omega: float,
     kappa: float,
 ) -> ScatteredPhotonReport:
-    """Compose the closed-form scattered photon summary."""
+    """Compose the closed-form scattered photon summary.
+
+    The gap check runs before ``||beta||`` is taken. Below the gap the
+    ground-state correction stays under half its amplitude, so a
+    coupling strong enough to overflow that norm fails as
+    :class:`ShiftExceedsGapError` instead.
+    """
     beta = beta_coefficients(a, height_nm, alpha, omega, kappa)
-    amp = scattered_amplitude(beta)
     delta = energy_shift(a.a1, height_nm, alpha, omega, kappa)
+    omega_s = scattered_frequency(omega, delta)
+    amp = scattered_amplitude(beta)
     return ScatteredPhotonReport(
         amplitude=amp,
         probability_weight=amp * amp,
         delta_e=delta,
-        omega_s=scattered_frequency(omega, delta),
+        omega_s=omega_s,
     )

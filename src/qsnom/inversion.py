@@ -3,11 +3,16 @@
 The forward map takes a permittivity to the emitted frequency of the
 scattered photon; it is strictly decreasing in the permittivity, so a
 measured frequency inside the attainable band pins the permittivity
-down uniquely. Recovery uses a bracketed derivative-free root search.
+down uniquely. On the closed route the shift has the form
+``s = c x / (1 + x)`` with ``x = alpha^2`` and
+``c = kappa^2 / ((2R)^3 omega)``, so recovery inverts it in closed form
+(``iterations = 0``) and checks the answer with one forward evaluation.
+The oracle route recovers by a bracketed derivative-free root search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -15,7 +20,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import closedform
-from .dipole import DielectricSample, TipDipole, derive_image, near_field_check
+from .dipole import (
+    UNITS,
+    DielectricSample,
+    TipDipole,
+    derive_image,
+    near_field_check,
+)
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
 from .hamiltonian import (
     ModelConfig,
@@ -182,28 +193,16 @@ def forward(
     )
 
 
-def invert_permittivity(problem: InversionProblem) -> InversionResult:
-    """Recover the permittivity whose emitted frequency matches.
+def _band_edge(
+    problem: InversionProblem, top: float, bottom: float
+) -> InversionResult | None:
+    """Settle a measurement on or outside the band ``[bottom, top]``.
 
-    The attainable frequency band on the bracket is checked first; a
-    measurement within tolerance of a band edge returns that edge, one
-    outside raises :class:`OutOfBracketError` with the band in the
-    message. Inside the band a bracketed root search runs with a hard
-    iteration budget.
+    A measurement within tolerance of a band edge returns that edge's
+    bracket end; one further out raises :class:`OutOfBracketError`.
+    Returns ``None`` for a measurement strictly inside the band.
     """
     lo, hi = problem.bracket
-
-    def emitted(eps: float) -> float:
-        return forward(
-            eps,
-            problem.height_nm,
-            problem.omega,
-            problem.kappa,
-            method=problem.method,
-        ).omega_s
-
-    top = emitted(lo)
-    bottom = emitted(hi)
     observed = problem.observed_omega_s
     tol_abs = problem.tol_rel * problem.omega
 
@@ -223,13 +222,74 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
             f"observed omega_s {observed!r} below attainable band"
             f" [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
         )
-    # an exact band-edge hit would short-circuit brentq and leave its
-    # iteration counter unset
     if observed == top:
         return InversionResult(epsilon_d=lo, iterations=0, residual=0.0)
     if observed == bottom:
         return InversionResult(epsilon_d=hi, iterations=0, residual=0.0)
+    return None
 
+
+def _invert_closed(problem: InversionProblem) -> InversionResult:
+    lo, hi = problem.bracket
+    height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
+    # the geometry checks forward makes, so invalid inputs keep their class
+    TipDipole(omega=omega, height_nm=height)
+    ModelConfig(kappa=kappa)
+
+    def delta_e(eps: float) -> float:
+        alpha = DielectricSample(eps).alpha
+        return closedform.energy_shift(1.0, height, alpha, omega, kappa)
+
+    top = closedform.scattered_frequency(omega, delta_e(lo))
+    delta_hi = delta_e(hi)
+    if abs(delta_hi) >= omega:
+        # the shift reaches the gap inside the bracket: the band ends
+        # at zero frequency, not at the bracket top
+        bottom = 0.0
+    else:
+        bottom = closedform.scattered_frequency(omega, delta_hi)
+    edge = _band_edge(problem, top, bottom)
+    if edge is not None:
+        return edge
+
+    # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
+    # where c cannot
+    observed = problem.observed_omega_s
+    shift = omega - observed * UNITS.hbar
+    c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+    a = math.sqrt(shift / (c - shift))
+    # a rounds to 1 only for a bracket top next to the metallic limit
+    epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
+
+    residual = abs(forward(epsilon_d, height, omega, kappa).omega_s - observed)
+    tol_abs = problem.tol_rel * omega
+    if residual >= tol_abs:
+        raise NoConvergenceError(
+            f"closed-form inverse left residual {residual:.3e} eV"
+            f" against tolerance {tol_abs:.3e} eV"
+        )
+    return InversionResult(epsilon_d=epsilon_d, iterations=0, residual=residual)
+
+
+def _invert_by_search(problem: InversionProblem) -> InversionResult:
+    lo, hi = problem.bracket
+
+    def emitted(eps: float) -> float:
+        return forward(
+            eps,
+            problem.height_nm,
+            problem.omega,
+            problem.kappa,
+            method=problem.method,
+        ).omega_s
+
+    edge = _band_edge(problem, emitted(lo), emitted(hi))
+    # an exact band-edge hit would short-circuit brentq and leave its
+    # iteration counter unset
+    if edge is not None:
+        return edge
+
+    observed = problem.observed_omega_s
     root, info = brentq(
         lambda eps: emitted(eps) - observed,
         lo,
@@ -241,6 +301,7 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         disp=False,
     )
     residual = abs(emitted(float(root)) - observed)
+    tol_abs = problem.tol_rel * problem.omega
     if not info.converged or residual >= tol_abs:
         raise NoConvergenceError(
             f"root search used {info.iterations} iterations (budget"
@@ -252,6 +313,26 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         iterations=int(info.iterations),
         residual=float(residual),
     )
+
+
+def invert_permittivity(problem: InversionProblem) -> InversionResult:
+    """Recover the permittivity whose emitted frequency matches.
+
+    The attainable frequency band on the bracket is checked first; a
+    measurement within tolerance of a band edge returns that edge, one
+    outside raises :class:`OutOfBracketError` with the band in the
+    message. On the closed route the band's floor is zero frequency
+    where the shift reaches the gap inside the bracket. Inside the band
+    the closed route inverts the shift in closed form and reports
+    ``iterations = 0``; the oracle route runs a bracketed root search
+    with a hard iteration budget of ``max_iter``. Either way one more
+    forward evaluation at the answer gives the returned residual, and
+    :class:`NoConvergenceError` is raised if it is not below
+    ``tol_rel * omega``.
+    """
+    if problem.method == "closed":
+        return _invert_closed(problem)
+    return _invert_by_search(problem)
 
 
 @dataclass(frozen=True)

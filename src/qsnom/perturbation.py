@@ -17,6 +17,7 @@ model is assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,12 @@ def rs_pt2(
     coeffs[n] = 1.0
     e2 = 0.0
     for m, gap in gaps:
+        # in Python floats an overflowing square raises OverflowError
+        # instead of warning and leaving inf in e2
+        e2 += abs(complex(column[m])) ** 2 / gap
+        if not math.isfinite(e2):
+            raise OverflowError(f"second-order shift of level {n} overflows: {e2!r}")
         coeffs[m] = column[m] / gap
-        e2 += float(abs(column[m]) ** 2 / gap)
 
     return PerturbationResult(
         state_index=n,

@@ -1,8 +1,10 @@
+import csv
 import io
 import logging
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -182,6 +184,35 @@ class TestExitCodes:
         assert captured.err.startswith(f"model error: {error}: ")
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_invert_near_the_surface(self, capsys):
+        # the bracket top lies past the point where the shift reaches
+        # the gap; the measurement itself is inside the band
+        code = main(
+            ["invert", "--set", "observed_omega_s=0.5", "--set", "R_nm=0.3",
+             "--set", "kappa=1"]
+        )
+        assert code == EXIT_OK
+        report = report_dict(capsys.readouterr().out)
+        assert float(report["epsilon_d"]) == pytest.approx(2.0673, abs=1e-4)
+        assert report["iterations"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["simulate", "--set", "forward_method=oracle", "--set", "kappa=1e300"],
+             EXIT_MODEL, "model error: OverflowError: "),
+            (["sweep", "--set", "sweep_axis=kappa",
+              "--set", "sweep_values=1e-300,1e150,1e300",
+              "--set", "sweep_outputs=delta_e_oracle_eV,g_eV"], EXIT_OK, ""),
+        ],
+    )
+    def test_huge_coupling_warns_nothing(self, tmp_path, capsys, argv, code, err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--out", str(tmp_path / "o.csv")]) == code
+        assert capsys.readouterr().err.startswith(err)
 
 
 class TestAtomicWrites:
@@ -391,6 +422,20 @@ class TestOracleCheck:
             assert float(line.split(",")[alpha_col]) == pytest.approx(0.9999, abs=1e-9)
             assert "perturbative regime" in line
 
+    def test_undefined_exponent_is_an_empty_cell(self, tmp_path):
+        # at epsilon_d = 1 every shift is 0 and no exponent can be fitted
+        out = tmp_path / "vacuum.csv"
+        code = main(
+            ["oracle-check", "--set", "oracle_epsilon_values=1", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["closed_height_exponent"] == ""
+            assert row["oracle_height_exponent"] == ""
+            assert row["error"] == ""
+
     def test_every_point_failing_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise DegenerateGapError("forced failure for the grid")
@@ -488,9 +533,9 @@ class TestRobustness:
         repeat a key, and it writes to a fresh file, to ``.``, to
         ``x.meta`` or to an existing directory. ``n_max`` stays at most
         8, since nothing bounds its cost yet. On exit 0 every
-        number that ``simulate`` and ``invert`` print must be finite.
-        ``oracle-check`` is left out of that check: at epsilon_d = 1 every
-        shift is 0 and its CSV holds ``nan`` height exponents with exit 0.
+        number that ``simulate`` and ``invert`` print, and every
+        non-empty numeric cell of the ``oracle-check`` CSV, must be
+        finite.
         """
         entries = dict(BASE_OVERRIDES[command])
         entries.update(plain + huge_or_tiny + invalid)
@@ -510,13 +555,27 @@ class TestRobustness:
                 os.mkdir("existing")
                 with redirect_stdout(stdout), redirect_stderr(stderr):
                     code = main(argv)
+                table = ""
+                if code == EXIT_OK and command == "oracle-check":
+                    with open(out, encoding="utf-8") as fh:
+                        table = fh.read()
             finally:
                 os.chdir(cwd)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO)
         assert "Traceback" not in stderr.getvalue()
-        if code != EXIT_OK or command not in ("simulate", "invert"):
+        if code != EXIT_OK:
             return
-        for key, value in report_dict(stdout.getvalue()).items():
+        if command == "oracle-check":
+            values = [
+                (name, value)
+                for row in csv.DictReader(io.StringIO(table))
+                for name, value in row.items()
+            ]
+        elif command in ("simulate", "invert"):
+            values = list(report_dict(stdout.getvalue()).items())
+        else:
+            return
+        for key, value in values:
             try:
                 number = float(value)
             except ValueError:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,3 +208,14 @@ class TestPhotonReport:
         assert report.probability_weight == pytest.approx(
             report.amplitude**2, rel=1e-15
         )
+
+    def test_gap_check_comes_before_the_norm(self):
+        # at kappa = 1e150 the corrections are ~1e298 and their squared
+        # norm would overflow; the shift past the gap is the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ShiftExceedsGapError):
+                photon_report(
+                    InitialCoefficients.ground_state(),
+                    height_nm=1.0, alpha=0.5, omega=1.0, kappa=1e150,
+                )

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qsnom import inversion
 from qsnom.dipole import DielectricSample, TipDipole
-from qsnom.errors import OutOfBracketError, ShiftExceedsGapError
+from qsnom.errors import NoConvergenceError, OutOfBracketError, ShiftExceedsGapError
 from qsnom.hamiltonian import ModelConfig, build_hamiltonian_pair
 from qsnom.inversion import (
     SWEEP_OUTPUTS,
@@ -183,6 +185,179 @@ class TestInversion:
             InversionProblem(**good, method="numeric")
         with pytest.raises(ValueError, match="observed_omega_s"):
             InversionProblem(observed_omega_s=-0.8, **STRONG)
+
+
+class TestBandFloorAtTheGap:
+    """At R = 0.3 nm and kappa = 1 the shift reaches the gap inside the bracket."""
+
+    NEAR = dict(height_nm=0.3, omega=1.0, kappa=1.0)
+
+    def test_measurement_inverts_and_round_trips(self):
+        result = invert_permittivity(InversionProblem(observed_omega_s=0.5, **self.NEAR))
+        assert result.epsilon_d == pytest.approx(2.0673, abs=1e-4)
+        assert result.iterations == 0
+        assert forward(result.epsilon_d, **self.NEAR).omega_s == pytest.approx(
+            0.5, abs=1e-10
+        )
+        assert result.residual < 1e-10
+
+    def test_above_band_reports_floor_zero(self):
+        problem = InversionProblem(observed_omega_s=1.2, **self.NEAR)
+        with pytest.raises(OutOfBracketError, match=r"above attainable band \[0\.0, 1\.0\]"):
+            invert_permittivity(problem)
+
+    def test_oracle_route_still_evaluates_the_bracket_top(self):
+        problem = InversionProblem(observed_omega_s=0.9, method="oracle", **self.NEAR)
+        with pytest.raises(ShiftExceedsGapError):
+            invert_permittivity(problem)
+
+
+class TestClosedFormInverse:
+    def test_one_forward_call_and_no_root_search(self, monkeypatch):
+        calls = []
+        real = inversion.forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method", "closed"))
+            return real(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed route ran the root search")
+
+        observed = forward(11.7, **STRONG).omega_s
+        monkeypatch.setattr(inversion, "forward", counting)
+        monkeypatch.setattr(inversion, "brentq", refuse)
+        result = invert_permittivity(InversionProblem(observed_omega_s=observed, **STRONG))
+        assert result.epsilon_d == pytest.approx(11.7, rel=1e-12)
+        assert result.iterations == 0
+        assert calls == ["closed"]
+
+    def test_residual_check_is_independent(self, monkeypatch):
+        real = inversion.forward
+
+        def off_by_a_micro_ev(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, omega_s=result.omega_s + 1e-6)
+
+        observed = forward(4.0, **STRONG).omega_s
+        monkeypatch.setattr(inversion, "forward", off_by_a_micro_ev)
+        problem = InversionProblem(observed_omega_s=observed, **STRONG)
+        with pytest.raises(NoConvergenceError, match="closed-form inverse left residual"):
+            invert_permittivity(problem)
+
+
+def root_search_reference(problem):
+    """The closed route's recovery before it was inverted in closed form.
+
+    Band edges from ``forward`` at both bracket ends, the same edge
+    clamps, then ``brentq`` on ``forward``.
+    """
+    lo, hi = problem.bracket
+    observed = problem.observed_omega_s
+    tol_abs = problem.tol_rel * problem.omega
+
+    def emitted(eps):
+        return forward(eps, problem.height_nm, problem.omega, problem.kappa).omega_s
+
+    top, bottom = emitted(lo), emitted(hi)
+    band = f" [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
+    if observed > top:
+        if observed - top < tol_abs:
+            return inversion.InversionResult(lo, 0, observed - top)
+        raise OutOfBracketError(f"observed omega_s {observed!r} above attainable band" + band)
+    if observed < bottom:
+        if bottom - observed < tol_abs:
+            return inversion.InversionResult(hi, 0, bottom - observed)
+        raise OutOfBracketError(f"observed omega_s {observed!r} below attainable band" + band)
+    if observed == top:
+        return inversion.InversionResult(lo, 0, 0.0)
+    if observed == bottom:
+        return inversion.InversionResult(hi, 0, 0.0)
+    root = brentq(lambda eps: emitted(eps) - observed, lo, hi, xtol=1e-12, rtol=1e-15)
+    return inversion.InversionResult(root, -1, abs(emitted(root) - observed))
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+# kappa as a fraction of sqrt(2 (2R)^3) omega, where the metallic-limit
+# shift equals the gap: above 1 the band floor sits at the gap
+GEOMETRY = dict(
+    height_nm=st.floats(0.3, 4.0),
+    omega=st.floats(0.1, 3.0),
+    kappa_fraction=st.floats(0.01, 2.0),
+)
+
+
+def kappa_for(fraction, height_nm, omega):
+    return fraction * math.sqrt(2.0 * (2.0 * height_nm) ** 3) * omega
+
+
+class TestClosedInverseMatchesRootSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(epsilon_d=st.floats(1.001, 1e4), **GEOMETRY)
+    def test_in_band(self, epsilon_d, height_nm, omega, kappa_fraction):
+        kappa = kappa_for(kappa_fraction, height_nm, omega)
+        try:
+            observed = forward(epsilon_d, height_nm, omega, kappa).omega_s
+        except ShiftExceedsGapError:
+            assume(False)
+        problem = InversionProblem(observed, height_nm, omega, kappa)
+        result = invert_permittivity(problem)
+        assert result.iterations == 0
+        assert result.residual < problem.tol_rel * omega
+        reference = outcome(lambda: root_search_reference(problem))
+        if isinstance(reference, tuple):
+            # only the reference's evaluation of the bracket top may fail
+            assert reference[0] is ShiftExceedsGapError
+            with pytest.raises(ShiftExceedsGapError):
+                forward(problem.bracket[1], height_nm, omega, kappa)
+        elif epsilon_d <= 100:
+            assert result.epsilon_d == pytest.approx(reference.epsilon_d, rel=1e-6)
+            assert result.epsilon_d == pytest.approx(epsilon_d, rel=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        where=st.sampled_from(("above", "below", "top", "bottom")),
+        offset=st.sampled_from((0.0, 0.5, 2.0, 1e3, 1e8)),
+        **GEOMETRY,
+    )
+    def test_out_of_band_and_edges(self, where, offset, height_nm, omega, kappa_fraction):
+        kappa = kappa_for(kappa_fraction, height_nm, omega)
+        lo, hi = InversionProblem(1.0, height_nm, omega, kappa).bracket
+        try:
+            bottom = forward(hi, height_nm, omega, kappa).omega_s
+        except ShiftExceedsGapError:
+            assume(False)  # the reference raises at its bracket top
+        top = forward(lo, height_nm, omega, kappa).omega_s
+        step = offset * 1e-10 * omega
+        observed = {
+            "above": omega * (1.0 + 0.01 * offset),
+            "below": bottom * 0.5**offset if offset else bottom * 0.9,
+            "top": top + step,
+            "bottom": bottom - step,
+        }[where]
+        assume(observed > 0)
+        problem = InversionProblem(observed, height_nm, omega, kappa)
+        reference = outcome(lambda: root_search_reference(problem))
+        result = outcome(lambda: invert_permittivity(problem))
+        if isinstance(reference, tuple) or reference.iterations == 0:
+            assert result == reference
+        else:
+            assert result.residual < problem.tol_rel * omega
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["height_nm", "omega", "kappa"])
+    def test_invalid_geometry_raises_what_forward_raises(self, name, bad):
+        geometry = dict(STRONG, **{name: bad})
+        problem = InversionProblem(observed_omega_s=0.9, **geometry)
+        expected = outcome(lambda: forward(problem.bracket[0], **geometry))
+        assert isinstance(expected, tuple)
+        assert outcome(lambda: invert_permittivity(problem)) == expected
 
 
 class TestSweepSpec:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,13 @@ class TestInputChecks:
         h0 = OperatorMatrix((2,), np.diag([0.0, 1.0 + 1e-6j]))
         with pytest.raises(NotHermitianError, match="real"):
             rs_pt2(h0, OperatorMatrix((2,), SIGMA_X), 0)
+
+    def test_overflowing_shift_raises(self):
+        h0, v = two_level(g=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError):
+                rs_pt2(h0, v, 0)
 
     def test_uncoupled_degeneracy_is_fine(self):
         h0 = OperatorMatrix((3,), np.diag([0.0, 0.0, 1.0]))
