@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, closedform, crosscheck
 from .errors import ConfigError, QsnomError
+from .hamiltonian import N_MAX_LIMIT
 from .inversion import (
     SWEEP_AXES,
     SWEEP_OUTPUTS,
@@ -216,7 +217,10 @@ def _validate(cfg: RunConfig) -> None:
     require(cfg.R_nm > 0, f"R_nm must be positive, got {cfg.R_nm!r}")
     require(cfg.omega_eV > 0, f"omega_eV must be positive, got {cfg.omega_eV!r}")
     require(cfg.kappa > 0, f"kappa must be positive, got {cfg.kappa!r}")
-    require(cfg.n_max >= 1, f"n_max must be >= 1, got {cfg.n_max!r}")
+    require(
+        1 <= cfg.n_max <= N_MAX_LIMIT,
+        f"n_max must lie in 1..{N_MAX_LIMIT}, got {cfg.n_max!r}",
+    )
     if cfg.photon_energy_eV is not None:
         require(
             cfg.photon_energy_eV > 0,
@@ -451,7 +455,7 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
     if out is None:
         raise ConfigError("oracle-check requires --out for the CSV table")
     table: list[list[object]] = []
-    failures: list[tuple[float, QsnomError]] = []
+    failures: list[tuple[float, Exception]] = []
     for eps in cfg.oracle_epsilon_values:
         try:
             report = crosscheck.consistency_report(
@@ -462,7 +466,7 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
                 n_max=cfg.n_max,
                 photon_energy=cfg.photon_energy_eV,
             )
-        except QsnomError as exc:
+        except (QsnomError, ValueError, ArithmeticError) as exc:
             alpha = (eps - 1.0) / (eps + 1.0)
             failures.append((alpha, exc))
             table.append(

@@ -11,7 +11,7 @@ two routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +27,13 @@ from .perturbation import rs_pt2, validate_against_exact  # noqa: F401
 __all__ = ["ConsistencyRow", "ConsistencyReport", "consistency_report"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyRow:
-    """One tip height: both shifts, the exact shift, and coefficient gaps."""
+    """One tip height: both shifts, the exact shift, and coefficient gaps.
+
+    The differences between the routes are derived from the stored
+    fields when read, so a kept row holds only what was computed.
+    """
 
     height_nm: float
     alpha: float
@@ -38,24 +42,80 @@ class ConsistencyRow:
     delta_e_oracle: float
     delta_e_exact: float
     pt2_exact_residual: float
-    shift_abs_diff: float
-    shift_rel_diff: float
     beta1_closed: float
     beta1_oracle: float
-    beta1_abs_diff: float
     warnings: tuple[str, ...]
 
+    @property
+    def shift_abs_diff(self) -> float:
+        return abs(self.delta_e_closed - self.delta_e_oracle)
 
-@dataclass(frozen=True)
+    @property
+    def shift_rel_diff(self) -> float:
+        return _rel_diff(self.delta_e_closed, self.delta_e_oracle)
+
+    @property
+    def beta1_abs_diff(self) -> float:
+        return abs(self.beta1_closed - self.beta1_oracle)
+
+
+_ROW_NUMBERS = tuple(f.name for f in fields(ConsistencyRow) if f.name != "warnings")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ConsistencyReport:
-    """Height sweep rows plus fitted height-scaling exponents."""
+    """Height sweep rows plus fitted height-scaling exponents.
 
-    rows: tuple[ConsistencyRow, ...]
+    The rows are stored packed, their numbers as the bytes of one float64
+    array and their warnings beside it, and ``rows`` rebuilds them as
+    :class:`ConsistencyRow` objects on each read. A kept report so holds
+    one buffer in place of a Python float object per number, under 1 KiB
+    with four heights. ``notes`` is derived from the exponents when read.
+    """
+
+    _row_numbers: bytes = field(repr=False)
+    _row_warnings: tuple[tuple[str, ...], ...] = field(repr=False)
     closed_height_exponent: float
     oracle_height_exponent: float
     exact_height_exponent: float
     scaling_mismatch: bool
-    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        rows: Sequence[ConsistencyRow],
+        closed_height_exponent: float,
+        oracle_height_exponent: float,
+        exact_height_exponent: float,
+        scaling_mismatch: bool,
+    ) -> None:
+        numbers = [[getattr(row, name) for name in _ROW_NUMBERS] for row in rows]
+        for name, value in (
+            ("_row_numbers", np.array(numbers, dtype=float).tobytes()),
+            ("_row_warnings", tuple(row.warnings for row in rows)),
+            ("closed_height_exponent", closed_height_exponent),
+            ("oracle_height_exponent", oracle_height_exponent),
+            ("exact_height_exponent", exact_height_exponent),
+            ("scaling_mismatch", scaling_mismatch),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> tuple[ConsistencyRow, ...]:
+        numbers = np.frombuffer(self._row_numbers).reshape(-1, len(_ROW_NUMBERS))
+        return tuple(
+            ConsistencyRow(**dict(zip(_ROW_NUMBERS, values)), warnings=warnings)
+            for values, warnings in zip(numbers.tolist(), self._row_warnings)
+        )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if not self.scaling_mismatch:
+            return ()
+        return (
+            "height-scaling mismatch: closed-form exponent "
+            f"{self.closed_height_exponent:.6g} vs numeric exponent "
+            f"{self.oracle_height_exponent:.6g}",
+        )
 
 
 def _fit_exponent(heights: Sequence[float], values: Sequence[float]) -> float:
@@ -123,11 +183,8 @@ def consistency_report(
                 delta_e_oracle=result.e2,
                 delta_e_exact=exact_shift,
                 pt2_exact_residual=comparison.residual,
-                shift_abs_diff=abs(closed_shift - result.e2),
-                shift_rel_diff=_rel_diff(closed_shift, result.e2),
                 beta1_closed=beta.beta1,
                 beta1_oracle=beta1_oracle,
-                beta1_abs_diff=abs(beta.beta1 - beta1_oracle),
                 warnings=pair.warnings,
             )
         )
@@ -142,17 +199,10 @@ def consistency_report(
         and math.isfinite(oracle_exp)
         and abs(closed_exp - oracle_exp) > 0.5
     )
-    notes: tuple[str, ...] = ()
-    if mismatch:
-        notes = (
-            "height-scaling mismatch: closed-form exponent "
-            f"{closed_exp:.6g} vs numeric exponent {oracle_exp:.6g}",
-        )
     return ConsistencyReport(
-        rows=tuple(rows),
+        rows=rows,
         closed_height_exponent=closed_exp,
         oracle_height_exponent=oracle_exp,
         exact_height_exponent=exact_exp,
         scaling_mismatch=mismatch,
-        notes=notes,
     )

@@ -5,7 +5,8 @@ significant: basis index ``(i_a * 2 + i_b) * (n_max + 1) + n`` for tip
 level ``i_a``, image level ``i_b`` and photon number ``n``; level 0 is
 the ground state. The free part is diagonal; the dipole-dipole coupling
 flips both two-level systems at once and leaves the photon register
-untouched.
+untouched. Both terms are built as their nonzero entries, so memory and
+time grow linearly with ``n_max``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .dipole import DielectricSample, ImageDipole, TipDipole, derive_image
 from .tensor import OperatorMatrix
 
 __all__ = [
+    "N_MAX_LIMIT",
     "ModelConfig",
     "HamiltonianPair",
     "basis_index",
@@ -28,6 +30,11 @@ __all__ = [
     "regime_warnings",
 ]
 
+# Highest accepted photon number. A register this size still has a dense
+# N x N complex matrix under 1 GiB, for a caller who reads ``.entries``.
+N_MAX_LIMIT = 1024
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Photon register size and coupling prefactor.
@@ -35,7 +42,7 @@ class ModelConfig:
     ``photon_energy`` of ``None`` means resonant with the tip gap.
     ``kappa`` collects the product of transition moments, the vacuum
     permittivity, and the fixed tip-image geometry into one scalar with
-    units eV nm^3.
+    units eV nm^3. ``n_max`` lies in ``1..N_MAX_LIMIT``.
     """
 
     n_max: int = 1
@@ -43,8 +50,10 @@ class ModelConfig:
     kappa: float = 0.05
 
     def __post_init__(self) -> None:
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        if int(self.n_max) != self.n_max or not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise ValueError(
+                f"n_max must be an integer in 1..{N_MAX_LIMIT}, got {self.n_max!r}"
+            )
         object.__setattr__(self, "n_max", int(self.n_max))
         if self.photon_energy is not None and not self.photon_energy > 0:
             raise ValueError(
@@ -92,18 +101,17 @@ def _h0_energies(
 ) -> np.ndarray:
     levels = 1 if cfg is None else cfg.n_max + 1
     e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
-    out = np.empty(4 * levels, dtype=float)
-    for i_a in (0, 1):
-        for i_b in (0, 1):
-            pair = (
-                tip.ground_energy
-                + i_a * tip.omega
-                + image.energies[0]
-                + i_b * image.omega_image
-            )
-            for n in range(levels):
-                out[(i_a * 2 + i_b) * levels + n] = pair + n * e_photon
-    return out
+    pairs = np.array(
+        [
+            tip.ground_energy
+            + i_a * tip.omega
+            + image.energies[0]
+            + i_b * image.omega_image
+            for i_a in (0, 1)
+            for i_b in (0, 1)
+        ]
+    )
+    return (pairs[:, None] + np.arange(levels) * e_photon).ravel()
 
 
 def build_h0(
@@ -118,7 +126,10 @@ def build_h0(
     """
     energies = _h0_energies(tip, image, cfg)
     dims = (2, 2) if cfg is None else (2, 2, cfg.n_max + 1)
-    return OperatorMatrix(dims, np.diag(energies.astype(complex)))
+    index = np.flatnonzero(energies)
+    return OperatorMatrix._canonical(
+        dims, index, index, energies[index].astype(complex)
+    )
 
 
 def build_delta_h(g: float, cfg: ModelConfig | None = None) -> OperatorMatrix:
@@ -134,13 +145,13 @@ def build_delta_h(g: float, cfg: ModelConfig | None = None) -> OperatorMatrix:
     every photon number ``n``.
     """
     levels = 1 if cfg is None else cfg.n_max + 1
-    side = 4 * levels
-    entries = np.zeros((side, side), dtype=complex)
-    n = np.arange(levels)
-    for p, q in ((0, 3), (1, 2), (2, 1), (3, 0)):
-        entries[p * levels + n, q * levels + n] = -g
+    rows = np.arange(4 * levels if g else 0)  # g = 0 leaves no nonzero entry
+    # q = 3 - p: the row blocks p = 0..3 in reverse order
+    cols = rows.reshape(4, -1)[::-1].ravel()
     dims = (2, 2) if cfg is None else (2, 2, levels)
-    return OperatorMatrix(dims, entries)
+    return OperatorMatrix._canonical(
+        dims, rows, cols, np.full(rows.size, -g, dtype=complex)
+    )
 
 
 def regime_warnings(
@@ -157,7 +168,8 @@ def regime_warnings(
     """
     # Rounding is monotone, so the smallest positive |E_i - E_j| always
     # lies between neighbours of the sorted spectrum.
-    gaps = np.diff(np.sort(_h0_energies(tip, image, cfg)))
+    spectrum = np.sort(_h0_energies(tip, image, cfg))
+    gaps = spectrum[1:] - spectrum[:-1]  # np.diff without its call overhead
     positive = gaps[gaps > 0]
     if positive.size == 0:
         if g > 0:

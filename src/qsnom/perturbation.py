@@ -12,7 +12,9 @@ The exact cross-check diagonalizes only the block of basis states that
 Because ``H0`` is diagonal, every entry of ``H0 + V`` between that block
 and the remaining states is exactly zero, so the block's eigenpairs are
 exact eigenpairs of the full operator; no property of the physical
-model is assumed.
+model is assumed. Both steps read the operators' nonzero entries only,
+so their cost follows the number of nonzeros and the size of that
+block, not the square of the register side.
 """
 
 from __future__ import annotations
@@ -75,24 +77,27 @@ class ExactComparison:
     pt2: PerturbationResult
 
 
-def _check_inputs(h0: OperatorMatrix, v: OperatorMatrix, state_index: int) -> None:
+def _check_inputs(
+    h0: OperatorMatrix, v: OperatorMatrix, state_index: int
+) -> np.ndarray:
+    """Raise unless the engine applies; return the diagonal of ``h0``."""
     if h0.dims != v.dims:
         raise ValueError(f"dims mismatch: h0 {h0.dims} vs v {v.dims}")
     if not 0 <= state_index < h0.side:
         raise ValueError(
             f"state_index {state_index} outside 0..{h0.side - 1}"
         )
-    diag = np.diag(h0.entries)
-    off_diagonal = np.count_nonzero(h0.entries) - np.count_nonzero(diag)
+    diag = h0.diagonal()
     # a non-finite diagonal entry is not diagonal either: it leaves a NaN
     # in h0 - diag(diag(h0))
-    if off_diagonal or not np.isfinite(diag).all():
+    if (h0.rows != h0.cols).any() or not np.isfinite(diag).all():
         raise ValueError("h0 must be diagonal (engine works in its eigenbasis)")
     # OperatorMatrix.is_hermitian() for a diagonal matrix
-    if not 2 * np.max(np.abs(diag.imag)) <= 1e-12 * np.max(np.abs(diag)):
+    if not 2 * np.abs(diag.imag).max() <= 1e-12 * np.abs(diag).max():
         raise NotHermitianError("h0 diagonal must be real")
     if not v.is_hermitian():
         raise NotHermitianError("perturbation v must be Hermitian")
+    return diag
 
 
 def rs_pt2(
@@ -109,17 +114,19 @@ def rs_pt2(
         If a coupled level sits within ``degeneracy_tol_scale * max|H0|``
         of the reference level.
     """
-    _check_inputs(h0, v, state_index)
-    diag = np.diag(h0.entries)
+    diag = _check_inputs(h0, v, state_index)
     energies = diag.real
     n = state_index
-    column = v.entries[:, n]
-    coupled = np.flatnonzero(column)
-    coupled = coupled[coupled != n]
-    tol_deg = degeneracy_tol_scale * float(np.max(np.abs(diag)))
+    in_column = v.cols == n
+    tol_deg = degeneracy_tol_scale * float(np.abs(diag).max())
 
+    e1 = 0.0
     gaps: list[tuple[int, float]] = []
-    for m in coupled.tolist():
+    column = []  # the coupled entries of v's column n, in ascending row order
+    for m, value in zip(v.rows[in_column].tolist(), v.values[in_column]):
+        if m == n:
+            e1 = float(np.real(value))
+            continue
         gap = float(energies[n] - energies[m])
         if abs(gap) <= tol_deg:
             raise DegenerateGapError(
@@ -128,42 +135,48 @@ def rs_pt2(
                 f" while coupled by v"
             )
         gaps.append((m, gap))
+        column.append(value)
 
     coeffs = np.zeros(h0.side, dtype=complex)
     coeffs[n] = 1.0
     e2 = 0.0
-    for m, gap in gaps:
+    for (m, gap), value in zip(gaps, column):
         # in Python floats an overflowing square raises OverflowError
-        # instead of warning and leaving inf in e2
-        e2 += abs(complex(column[m])) ** 2 / gap
+        # instead of warning and leaving inf in e2; value stays a numpy
+        # scalar, whose division by a float may differ from Python's
+        # complex division in the last bit
+        e2 += abs(complex(value)) ** 2 / gap
         if not math.isfinite(e2):
             raise OverflowError(f"second-order shift of level {n} overflows: {e2!r}")
-        coeffs[m] = column[m] / gap
+        coeffs[m] = value / gap
 
     return PerturbationResult(
         state_index=n,
         e0=float(energies[n]),
-        e1=float(np.real(v.entries[n, n])),
+        e1=e1,
         e2=e2,
         corrected_coefficients=coeffs,
         gap_report=tuple(gaps),
     )
 
 
-def _linked_block(v: np.ndarray, start: int) -> np.ndarray:
-    """Sorted indices reachable from ``start`` through nonzero entries of ``v``.
+def _linked_block(v: OperatorMatrix, start: int) -> np.ndarray:
+    """Mask of the basis states reachable from ``start`` through nonzero
+    entries of ``v``.
 
     Links are followed along rows and columns alike, so the set is
     closed under both ``v[i, j] != 0`` and ``v[j, i] != 0``.
     """
-    seen = np.zeros(v.shape[0], dtype=bool)
+    seen = np.zeros(v.side, dtype=bool)
     seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        linked = (v[frontier, :] != 0).any(axis=0) | (v[:, frontier] != 0).any(axis=1)
-        frontier = np.flatnonzero(linked & ~seen)
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    frontier = seen.copy()
+    while frontier.any():
+        linked = np.zeros(v.side, dtype=bool)
+        linked[v.cols[frontier[v.rows]]] = True
+        linked[v.rows[frontier[v.cols]]] = True
+        frontier = linked & ~seen
+        seen |= frontier
+    return seen
 
 
 def validate_against_exact(
@@ -187,8 +200,15 @@ def validate_against_exact(
     again.
     """
     result = rs_pt2(h0, v, state_index)
-    block = _linked_block(v.entries, state_index)
-    sub = v.entries[np.ix_(block, block)] + np.diag(np.diag(h0.entries)[block])
+    linked = _linked_block(v, state_index)
+    block = np.flatnonzero(linked)
+    # the block is closed under links, so a nonzero in one of its rows
+    # also has its column in the block
+    inside = linked[v.rows]
+    at = np.searchsorted(block, v.rows[inside]), np.searchsorted(block, v.cols[inside])
+    sub = np.zeros((block.size, block.size), dtype=complex)
+    sub[at] = v.values[inside]
+    sub[np.diag_indices(block.size)] += h0.diagonal()[block]
     decomposition = eigh(OperatorMatrix((block.size,), sub))
     local = int(np.searchsorted(block, state_index))
     weights = np.abs(decomposition.eigenvectors[local, :]) ** 2

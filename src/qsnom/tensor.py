@@ -1,13 +1,16 @@
-"""Dense tensor algebra for small composite quantum registers.
+"""Tensor algebra for small composite quantum registers.
 
 States and operators carry an explicit tuple of subsystem dimensions
 (leftmost factor is the most significant index). Everything is plain
 ``numpy`` underneath; arrays are defensively copied and frozen on
-construction.
+construction. Operators store their nonzero entries, so a sparse
+operator on a large register costs memory in its nonzeros, not in the
+square of its side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,51 +79,142 @@ class StateVector:
         return abs(self.norm**2 - 1.0) <= tol
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Square operator over a composite register.
+    """Square operator over a composite register, stored as its nonzeros.
 
-    ``entries`` is a dense complex matrix whose side equals
-    ``prod(dims)``.
+    The nonzero entries are kept as triplets: entry ``(rows[k], cols[k])``
+    is ``values[k]``, sorted by row and then by column, each position at
+    most once. ``entries``, the dense complex matrix whose side equals
+    ``prod(dims)``, is built on its first read and kept; ``dims``,
+    ``side`` and the methods below never build it. Instances and their
+    arrays are read-only.
     """
 
-    dims: tuple[int, ...]
-    entries: np.ndarray
+    __slots__ = ("dims", "side", "rows", "cols", "values", "_entries")
 
-    def __post_init__(self) -> None:
-        dims = _check_dims(self.dims)
-        mat = np.array(self.entries, dtype=complex)
-        side = int(np.prod(dims))
+    def __init__(self, dims: Sequence[int], entries: np.ndarray) -> None:
+        dims = _check_dims(dims)
+        mat = np.array(entries, dtype=complex)
+        side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(
                 f"entries shape {mat.shape} does not match dims {dims}"
                 f" (expected {(side, side)})"
             )
-        mat.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", mat)
+        rows, cols = np.nonzero(mat)
+        self._freeze(dims, side, rows, cols, mat[rows, cols], mat)
+
+    @classmethod
+    def from_triplets(
+        cls,
+        dims: Sequence[int],
+        rows: Sequence[int],
+        cols: Sequence[int],
+        values: Sequence[complex],
+    ) -> "OperatorMatrix":
+        """Operator whose entry ``(rows[k], cols[k])`` is ``values[k]``.
+
+        Every other entry is zero; zero values are dropped. A position
+        may be given once.
+        """
+        dims = _check_dims(dims)
+        side = math.prod(dims)
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        cols = np.asarray(cols, dtype=np.intp).ravel()
+        values = np.asarray(values, dtype=complex).ravel()
+        if not rows.size == cols.size == values.size:
+            raise ValueError(
+                f"triplet lengths differ: {rows.size} rows, {cols.size} cols,"
+                f" {values.size} values"
+            )
+        if rows.size and not (
+            min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < side
+        ):
+            raise ValueError(f"triplet index outside 0..{side - 1} for dims {dims}")
+        nonzero = values != 0
+        rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+        keys = rows * side + cols
+        order = np.argsort(keys, kind="stable")
+        if not (np.diff(keys[order]) > 0).all():
+            raise ValueError("triplets give one position more than once")
+        return cls._canonical(dims, rows[order], cols[order], values[order])
+
+    @classmethod
+    def _canonical(
+        cls,
+        dims: tuple[int, ...],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+    ) -> "OperatorMatrix":
+        """Wrap triplets that are canonical already, without checks.
+
+        For builders whose output is canonical by construction: ``dims``
+        a checked tuple, indices in range and sorted by position, each
+        position once, complex values none of which is zero. The arrays
+        are kept, not copied.
+        """
+        op = cls.__new__(cls)
+        op._freeze(dims, math.prod(dims), rows, cols, values, None)
+        return op
+
+    def _freeze(self, dims, side, rows, cols, values, entries) -> None:
+        for array in (rows, cols, values, entries):
+            if array is not None:
+                array.setflags(write=False)
+        for name, value in zip(
+            self.__slots__, (dims, side, rows, cols, values, entries)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"OperatorMatrix is read-only; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"OperatorMatrix(dims={self.dims}, nonzeros={self.values.size})"
+
+    def __reduce__(self):
+        triplets = (self.dims, self.rows, self.cols, self.values)
+        return OperatorMatrix.from_triplets, triplets
 
     @property
-    def side(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            mat = np.zeros((self.side, self.side), dtype=complex)
+            mat[self.rows, self.cols] = self.values
+            mat.setflags(write=False)
+            object.__setattr__(self, "_entries", mat)
+        return self._entries
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal as a dense vector of length ``side``."""
+        out = np.zeros(self.side, dtype=complex)
+        on = self.rows == self.cols
+        out[self.rows[on]] = self.values[on]
+        return out
 
     @property
     def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        return complex(self.diagonal().sum())
+
+    def _hermitian_deviation(self) -> tuple[float, float]:
+        """``(max|M - M^dag|, max|M|)`` over the nonzero entries.
+
+        An entry whose mirror is zero deviates by its own magnitude; a
+        pair of zero mirror entries adds 0 to both maxima.
+        """
+        if self.values.size == 0:
+            return 0.0, 0.0
+        keys = self.rows * self.side + self.cols  # ascending
+        mirror_keys = self.cols * self.side + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+        mirror = np.where(keys[at] == mirror_keys, self.values[at], 0)
+        dev = float(np.abs(self.values - mirror.conj()).max())
+        return dev, float(np.abs(self.values).max())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Whether ``max|M - M^dag| <= tol * max|M|`` (an all-zero ``M`` is).
-
-        Only nonzero entries are compared: a pair of mirror entries that
-        are both zero adds 0 to either maximum, and an entry whose mirror
-        is zero deviates by its own magnitude from either side.
-        """
-        rows, cols = np.nonzero(self.entries != 0)
-        if rows.size == 0:
-            return True
-        values = self.entries[rows, cols]
-        scale = float(np.abs(values).max())
-        dev = float(np.abs(values - self.entries[cols, rows].conj()).max())
+        """Whether ``max|M - M^dag| <= tol * max|M|`` (an all-zero ``M`` is)."""
+        dev, scale = self._hermitian_deviation()
         return dev <= tol * scale
 
 
@@ -146,8 +240,8 @@ class EigenDecomposition:
 
 def identity(dims: Sequence[int]) -> OperatorMatrix:
     """Identity operator on the register described by ``dims``."""
-    dims = _check_dims(dims)
-    return OperatorMatrix(dims, np.eye(int(np.prod(dims)), dtype=complex))
+    index = np.arange(math.prod(_check_dims(dims)))
+    return OperatorMatrix.from_triplets(dims, index, index, np.ones(index.size))
 
 
 def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -163,8 +257,8 @@ def eigh(m: OperatorMatrix, tol: float = 1e-12) -> EigenDecomposition:
     NotHermitianError
         If ``max|M - M^dag|`` exceeds ``tol * max|M|``.
     """
-    if not m.is_hermitian(tol):
-        dev = float(np.max(np.abs(m.entries - m.entries.conj().T)))
+    dev, scale = m._hermitian_deviation()
+    if not dev <= tol * scale:
         raise NotHermitianError(
             f"operator deviates from Hermiticity by {dev:.3e}"
             f" (tolerance {tol:g} relative)"

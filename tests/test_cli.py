@@ -4,8 +4,10 @@ import logging
 import math
 import os
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from qsnom.cli import (
     resolve_config,
 )
 from qsnom.errors import ConfigError, DegenerateGapError
+from qsnom.hamiltonian import N_MAX_LIMIT
 
 
 def report_dict(text):
@@ -172,7 +175,6 @@ class TestExitCodes:
             ("simulate", "R_nm=1e200", "OverflowError"),
             ("simulate", "omega_eV=1e-300", "ZeroDivisionError"),
             ("simulate", "R_nm=1e-300", "ZeroDivisionError"),
-            ("oracle-check", "oracle_heights_nm=1e-300,1", "ZeroDivisionError"),
         ],
     )
     def test_float_overflow_is_model_error(
@@ -185,6 +187,22 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_n_max_above_the_limit_is_config_error(self, capsys):
+        start = time.perf_counter()
+        code = main(["simulate", "--set", "n_max=100000000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert elapsed < 1.0
+        assert err == (
+            f"config error: n_max must lie in 1..{N_MAX_LIMIT}, got 100000000\n"
+        )
+
+    def test_n_max_at_the_limit_runs(self, capsys):
+        argv = ["simulate", "--set", "forward_method=oracle"]
+        assert main(argv + ["--set", f"n_max={N_MAX_LIMIT}"]) == EXIT_OK
+        report = report_dict(capsys.readouterr().out)
+        assert float(report["delta_e_eV"]) == pytest.approx(-7.8125e-6, rel=1e-12)
 
     def test_invert_near_the_surface(self, capsys):
         # the bracket top lies past the point where the shift reaches
@@ -470,6 +488,75 @@ class TestOracleCheck:
         assert len(lines) == 6
         assert sum("DegenerateGapError" in line for line in lines) == 1
 
+    def test_plain_error_at_one_point_is_recorded(self, tmp_path, capsys):
+        # alpha rounds to 1 above epsilon_d ~ 1e16, which the sample rejects
+        out = tmp_path / "grid.csv"
+        code = main(
+            ["oracle-check", "--set", "oracle_epsilon_values=3,1e17", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["epsilon_d"] for row in rows] == ["3"] * 4 + ["1e+17"]
+        assert [row["error"] for row in rows[:4]] == [""] * 4
+        assert rows[4]["alpha"] == "1"
+        assert rows[4]["error"] == "ValueError: alpha must lie in [0, 1), got 1.0"
+
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ("oracle_epsilon_values=1e17,1e18", "ValueError: alpha must lie"),
+            ("kappa=1e300", "OverflowError: "),
+            ("oracle_heights_nm=1e-300,1", "ZeroDivisionError: "),
+        ],
+    )
+    def test_every_point_failing_with_a_plain_error_exits_3(
+        self, tmp_path, capsys, override, error
+    ):
+        out = tmp_path / "fail.csv"
+        code = main(["oracle-check", "--set", override, "--out", str(out)])
+        assert code == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("oracle-check failed on every grid point;")
+        assert "Traceback" not in err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and all(row["error"].startswith(error) for row in rows)
+
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+GOLDEN_EPSILONS = "1,1.5,3,11.7,50,10000"
+
+
+class TestOracleCheckGolden:
+    """``oracle-check`` tables and sidecars match files written by the
+    earlier implementation, which built every operator as a dense matrix.
+
+    One file pair per register size, coupling and photon energy; each
+    table covers six permittivities from vacuum to near-metallic.
+    """
+
+    @pytest.mark.parametrize("n_max", [1, 8, 32, 128])
+    @pytest.mark.parametrize("kappa", ["0.05", "1"])
+    @pytest.mark.parametrize("photon", [None, "0.3"])
+    def test_bytes_match(self, tmp_path, capsys, n_max, kappa, photon):
+        photon_tag = f"pe{photon}" if photon else "resonant"
+        name = f"oracle_check_n{n_max}_k{kappa}_{photon_tag}"
+        argv = [
+            "oracle-check",
+            "--set", f"oracle_epsilon_values={GOLDEN_EPSILONS}",
+            "--set", f"n_max={n_max}",
+            "--set", f"kappa={kappa}",
+        ]
+        if photon:
+            argv += ["--set", f"photon_energy_eV={photon}"]
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.meta").read_bytes() == (
+            GOLDEN / f"{name}.meta"
+        ).read_bytes()
 
 
 FLOAT_KEYS = (
@@ -501,6 +588,7 @@ INVALID_OVERRIDES = st.tuples(
 PLAIN_OVERRIDES = st.one_of(
     st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(("0.5", "1", "3"))),
     st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(("1", "2", "8"))),
+    st.tuples(st.just("n_max"), st.sampled_from(("1024", "1025", "100000000"))),
     st.tuples(st.just("forward_method"), st.sampled_from(("closed", "oracle"))),
     st.tuples(st.just("sweep_axis"), st.sampled_from(cli.SWEEP_AXES)),
 )
@@ -531,8 +619,8 @@ class TestRobustness:
         Each run sets a few plain values, up to two of 1e300 and 1e-300
         and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It may
         repeat a key, and it writes to a fresh file, to ``.``, to
-        ``x.meta`` or to an existing directory. ``n_max`` stays at most
-        8, since nothing bounds its cost yet. On exit 0 every
+        ``x.meta`` or to an existing directory. ``n_max`` is at most 8,
+        or at, just above or far above its limit. On exit 0 every
         number that ``simulate`` and ``invert`` print, and every
         non-empty numeric cell of the ``oracle-check`` CSV, must be
         finite.

@@ -1,11 +1,15 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qsnom.crosscheck
 import qsnom.perturbation
-from qsnom.crosscheck import ConsistencyReport, consistency_report
+from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
+from qsnom.hamiltonian import N_MAX_LIMIT
+from qsnom.inversion import forward
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
 
@@ -124,3 +128,66 @@ class TestEdgeCases:
         heights = tuple(sorted(rng.uniform(0.4, 8.0, size=6)))
         report = consistency_report(3.0, heights, kappa=0.05)
         assert report.closed_height_exponent == pytest.approx(-3.0, abs=1e-9)
+
+
+def peak_bytes(call):
+    call()  # first-call caches are not what is measured
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    # a dense (H0, V) pair at the limit would take 2 x 4100^2 x 16 B > 500 MiB
+    LIMIT = 2 * 2**20
+
+    def test_report_at_the_n_max_limit(self):
+        peak = peak_bytes(lambda: consistency_report(3.0, HEIGHTS, n_max=N_MAX_LIMIT))
+        assert peak < self.LIMIT
+
+    def test_oracle_forward_at_the_n_max_limit(self):
+        peak = peak_bytes(
+            lambda: forward(3.0, 1.0, 1.0, 0.05, n_max=N_MAX_LIMIT, method="oracle")
+        )
+        assert peak < self.LIMIT
+
+    def test_report_and_rows_have_no_instance_dict(self, report):
+        assert not hasattr(report, "__dict__")
+        assert not hasattr(report.rows[0], "__dict__")
+        assert "shift_abs_diff" not in ConsistencyRow.__slots__
+
+    def test_kept_reports_are_small(self):
+        consistency_report(3.0, HEIGHTS, n_max=8)
+        tracemalloc.start()
+        try:
+            kept = [
+                consistency_report(1.5 + k / 10, HEIGHTS, n_max=8) for k in range(200)
+            ]
+            gc.collect()
+            per_report = tracemalloc.get_traced_memory()[0] / len(kept)
+        finally:
+            tracemalloc.stop()
+        # with a Python float object per number a report took about 2 KiB
+        assert per_report < 1024
+
+    def test_packed_rows_read_back_bit_for_bit(self):
+        numbers = [-0.0, math.inf, math.nan, 5e-324, 1.0 / 3.0, -1e300, 0.5, 2.0, 7.0]
+        rows = [
+            ConsistencyRow(*numbers, ("w",)),
+            ConsistencyRow(*reversed(numbers), ()),
+        ]
+        report = ConsistencyReport(rows, -3.0, -6.0, -6.0, True)
+        assert repr(report.rows) == repr(tuple(rows))
+
+    def test_derived_fields_follow_the_stored_ones(self, report):
+        for row in report.rows:
+            assert row.shift_abs_diff == abs(row.delta_e_closed - row.delta_e_oracle)
+            assert row.beta1_abs_diff == abs(row.beta1_closed - row.beta1_oracle)
+        assert report.notes == (
+            "height-scaling mismatch: closed-form exponent "
+            f"{report.closed_height_exponent:.6g} vs numeric exponent "
+            f"{report.oracle_height_exponent:.6g}",
+        )

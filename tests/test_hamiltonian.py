@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsnom.dipole import DielectricSample, TipDipole, derive_image
 from qsnom.hamiltonian import (
+    N_MAX_LIMIT,
     ModelConfig,
     basis_index,
     build_delta_h,
@@ -95,6 +96,23 @@ class TestFreeHamiltonian:
         assert build_h0(tip, image, cfg).dims == (2, 2, 4)
 
 
+    @pytest.mark.parametrize("photon_energy", [None, 0.3, 1.7])
+    def test_energies_follow_the_level_formula_exactly(self, photon_energy):
+        sample = DielectricSample(11.7)
+        tip = TipDipole(omega=1.3, height_nm=0.7)
+        image = derive_image(tip, sample)
+        cfg = ModelConfig(n_max=60, photon_energy=photon_energy)
+        e_photon = cfg.resolved_photon_energy(tip)
+        expected = [
+            tip.ground_energy + i_a * tip.omega + image.energies[0]
+            + i_b * image.omega_image + n * e_photon
+            for i_a in (0, 1)
+            for i_b in (0, 1)
+            for n in range(61)
+        ]
+        assert build_h0(tip, image, cfg).diagonal().real.tolist() == expected
+
+
 class TestCouplingTerm:
     def test_pair_block_structure(self):
         dh = build_delta_h(1.0, None)
@@ -152,6 +170,18 @@ class TestCouplingTerm:
 
 
 class TestAssembledPair:
+    def test_stored_as_nonzeros_at_the_n_max_limit(self):
+        sample, tip, _, _ = make_parts(3.0)
+        cfg = ModelConfig(n_max=N_MAX_LIMIT)
+        pair = build_hamiltonian_pair(tip, sample, cfg)
+        side = 4 * (N_MAX_LIMIT + 1)
+        assert pair.h0.side == pair.delta_h.side == side
+        assert pair.h0.dims == (2, 2, N_MAX_LIMIT + 1)
+        # vacuum ground level has energy 0 and is not stored
+        assert pair.h0.values.size == side - 1
+        assert pair.delta_h.values.size == side
+        assert pair.h0._entries is None and pair.delta_h._entries is None
+
     def test_g_matches_constant(self):
         sample, tip, _, cfg = make_parts(3.0, height=0.5, kappa=1.0)
         pair = build_hamiltonian_pair(tip, sample, cfg)
@@ -233,6 +263,12 @@ class TestModelConfig:
             ModelConfig(photon_energy=-1.0)
         with pytest.raises(ValueError, match="kappa"):
             ModelConfig(kappa=0.0)
+
+    def test_n_max_ceiling(self):
+        assert ModelConfig(n_max=N_MAX_LIMIT).n_max == N_MAX_LIMIT
+        for n_max in (N_MAX_LIMIT + 1, 100_000_000):
+            with pytest.raises(ValueError, match=f"1..{N_MAX_LIMIT}"):
+                ModelConfig(n_max=n_max)
 
     def test_resonant_default(self):
         tip = TipDipole(omega=1.7, height_nm=1.0)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from qsnom.dipole import DielectricSample, TipDipole, derive_image
@@ -295,3 +295,172 @@ class TestBlockRestriction:
         comparison = validate_against_exact(h0, v, index)
         assert abs(comparison.exact_energy - values[best]) <= 1e-12 * scale
         assert comparison.overlap == pytest.approx(weights[best], abs=1e-9)
+
+
+# Dense reference: the engine as it was written on full N x N matrices,
+# before operators were stored as their nonzeros.
+def dense_is_hermitian(m, tol=1e-12):
+    rows, cols = np.nonzero(m != 0)
+    if rows.size == 0:
+        return True
+    values = m[rows, cols]
+    scale = float(np.abs(values).max())
+    dev = float(np.abs(values - m[cols, rows].conj()).max())
+    return dev <= tol * scale
+
+
+def dense_eigh(m, tol=1e-12):
+    if not dense_is_hermitian(m, tol):
+        dev = float(np.max(np.abs(m - m.conj().T)))
+        raise NotHermitianError(
+            f"operator deviates from Hermiticity by {dev:.3e}"
+            f" (tolerance {tol:g} relative)"
+        )
+    return np.linalg.eigh(m)
+
+
+def dense_rs_pt2(h0, v, n, degeneracy_tol_scale=1e-12):
+    if not 0 <= n < h0.shape[0]:
+        raise ValueError(f"state_index {n} outside 0..{h0.shape[0] - 1}")
+    diag = np.diag(h0)
+    off_diagonal = np.count_nonzero(h0) - np.count_nonzero(diag)
+    if off_diagonal or not np.isfinite(diag).all():
+        raise ValueError("h0 must be diagonal (engine works in its eigenbasis)")
+    if not 2 * np.max(np.abs(diag.imag)) <= 1e-12 * np.max(np.abs(diag)):
+        raise NotHermitianError("h0 diagonal must be real")
+    if not dense_is_hermitian(v):
+        raise NotHermitianError("perturbation v must be Hermitian")
+    energies = diag.real
+    column = v[:, n]
+    coupled = np.flatnonzero(column)
+    coupled = coupled[coupled != n]
+    tol_deg = degeneracy_tol_scale * float(np.max(np.abs(diag)))
+    gaps = []
+    for m in coupled.tolist():
+        gap = float(energies[n] - energies[m])
+        if abs(gap) <= tol_deg:
+            raise DegenerateGapError(
+                f"level {m} is degenerate with reference level {n}"
+                f" (gap {gap:.3e} eV within tolerance {tol_deg:.3e} eV)"
+                f" while coupled by v"
+            )
+        gaps.append((m, gap))
+    coeffs = np.zeros(h0.shape[0], dtype=complex)
+    coeffs[n] = 1.0
+    e2 = 0.0
+    for m, gap in gaps:
+        e2 += abs(complex(column[m])) ** 2 / gap
+        if not math.isfinite(e2):
+            raise OverflowError(f"second-order shift of level {n} overflows: {e2!r}")
+        coeffs[m] = column[m] / gap
+    return (n, float(energies[n]), float(np.real(v[n, n])), e2, coeffs, tuple(gaps))
+
+
+def dense_validate(h0, v, n, overlap_threshold=0.5):
+    result = dense_rs_pt2(h0, v, n)
+    seen = np.zeros(v.shape[0], dtype=bool)
+    seen[n] = True
+    frontier = np.array([n])
+    while frontier.size:
+        linked = (v[frontier, :] != 0).any(axis=0) | (v[:, frontier] != 0).any(axis=1)
+        frontier = np.flatnonzero(linked & ~seen)
+        seen[frontier] = True
+    block = np.flatnonzero(seen)
+    sub = v[np.ix_(block, block)] + np.diag(np.diag(h0)[block])
+    values, vectors = dense_eigh(sub)
+    local = int(np.searchsorted(block, n))
+    weights = np.abs(vectors[local, :]) ** 2
+    best = int(np.argmax(weights))
+    if weights[best] < overlap_threshold:
+        raise AmbiguousMatchingError(
+            f"largest overlap {weights[best]:.3f} with basis state"
+            f" {n} is below threshold {overlap_threshold}"
+        )
+    exact = float(values[best])
+    pt2 = result[1] + result[2] + result[3]
+    return (pt2, exact, abs(exact - pt2), float(weights[best]), result)
+
+
+def fields_of(result):
+    """Every field, with arrays as bytes, so equal means bit-equal."""
+    n, e0, e1, e2, coeffs, gaps = result
+    return repr((n, e0, e1, e2, gaps)), coeffs.tobytes()
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ValueError, ArithmeticError, NotHermitianError, DegenerateGapError,
+            AmbiguousMatchingError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestAgainstDenseReference:
+    """The nonzero-entry engine reproduces the dense one bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        side=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([2, 4, 1000]),
+        density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        magnitude=st.sampled_from([1e-3, 1e-2, 0.3, 1e160]),
+        nudge=st.sampled_from([0.0, 0.0, 0.5, 2.0, 1e6]),
+        special=st.sampled_from(
+            [None] * 5 + [np.nan, np.inf, complex(-np.inf, 1.0)]
+        ),
+        in_h0=st.sampled_from([False, False, False, True]),
+        h0_flaw=st.sampled_from([None] * 8 + ["imaginary", "off-diagonal"]),
+        pick=st.integers(0, 20),
+    )
+    def test_bit_equal_results_and_identical_errors(
+        self, side, seed, levels, density, magnitude, nudge, special, in_h0,
+        h0_flaw, pick,
+    ):
+        rng = np.random.default_rng(seed)
+        # energies drawn from few levels give degenerate pairs
+        h0 = np.diag(rng.integers(0, levels, size=side) * 0.25).astype(complex)
+        raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        raw *= rng.random((side, side)) < density
+        v = magnitude * (raw + raw.conj().T) / 2
+        # move some entries off their mirror by about nudge * 1e-12 * max|V|
+        moved = rng.random((side, side)) < 0.2
+        v[moved] += nudge * 1e-12 * np.max(np.abs(v), initial=1.0) * np.exp(
+            2j * np.pi * rng.random(moved.sum())
+        )
+        r, c = rng.integers(0, side, size=2)
+        if h0_flaw == "imaginary":
+            h0[r, r] += 1e-9j
+        elif h0_flaw == "off-diagonal" and r != c:
+            h0[r, c] = 0.5
+        if special is not None:
+            (h0 if in_h0 else v)[r, c] = special
+        index = side if pick == 20 else pick % side  # side is out of range
+        h0_op, v_op = OperatorMatrix((side,), h0), OperatorMatrix((side,), v)
+
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: dense_rs_pt2(h0, v, index))
+            got = outcome(lambda: rs_pt2(h0_op, v_op, index))
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want
+            else:
+                assert fields_of(
+                    (got.state_index, got.e0, got.e1, got.e2,
+                     got.corrected_coefficients, got.gap_report)
+                ) == fields_of(want)
+
+            want = outcome(lambda: dense_validate(h0, v, index))
+            got = outcome(lambda: validate_against_exact(h0_op, v_op, index))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            event(f"validate raises {want[0].__name__}")
+            assert got == want
+            return
+        event("validate returns")
+        assert repr(
+            (got.pt2_energy, got.exact_energy, got.residual, got.overlap)
+        ) == repr(want[:4])
+        pt2 = got.pt2
+        assert fields_of(
+            (pt2.state_index, pt2.e0, pt2.e1, pt2.e2,
+             pt2.corrected_coefficients, pt2.gap_report)
+        ) == fields_of(want[4])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,11 +61,72 @@ class TestContainers:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    def test_read_only(self):
+        op = OperatorMatrix((2,), SIGMA_X)
+        with pytest.raises(AttributeError):
+            op.dims = (3,)
+        with pytest.raises(ValueError):
+            op.values[0] = 5.0
+
     def test_hermitian_predicate(self):
         assert OperatorMatrix((2,), SIGMA_X).is_hermitian()
         assert OperatorMatrix((2,), np.zeros((2, 2))).is_hermitian()
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert not OperatorMatrix((2,), skew).is_hermitian()
+
+
+class TestTriplets:
+    def test_dense_input_is_stored_as_its_nonzeros(self):
+        m = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1j, 0.0, 3.0]])
+        op = OperatorMatrix((3,), m)
+        assert op.side == 3
+        assert op.rows.tolist() == [0, 2, 2]
+        assert op.cols.tolist() == [1, 0, 2]
+        assert op.values.tolist() == [2.0, 1j, 3.0]
+        np.testing.assert_array_equal(op.diagonal(), [0.0, 0.0, 3.0])
+        assert op.trace == 3.0
+
+    def test_from_triplets_sorts_and_drops_zeros(self):
+        op = OperatorMatrix.from_triplets(
+            (2, 2), [3, 0, 1, 2], [0, 3, 1, 2], [4.0, 1.0, 0.0, 2.0 + 1j]
+        )
+        assert op.dims == (2, 2)
+        assert op.rows.tolist() == [0, 2, 3]
+        assert op.cols.tolist() == [3, 2, 0]
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 3], expected[2, 2], expected[3, 0] = 1.0, 2.0 + 1j, 4.0
+        np.testing.assert_array_equal(op.entries, expected)
+
+    def test_dense_matrix_is_built_on_first_read_only(self):
+        op = OperatorMatrix.from_triplets((1000,), [0, 999], [999, 0], [1.0, 1.0])
+        assert op._entries is None
+        assert op.side == 1000 and op.is_hermitian()
+        assert op._entries is None
+        dense = op.entries
+        assert dense is op.entries
+        assert not dense.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows, cols, values, message",
+        [
+            ([0, 0], [1, 1], [1.0, 2.0], "more than once"),
+            ([0, 2], [1, 0], [1.0, 2.0], "outside"),
+            ([-1], [0], [1.0], "outside"),
+            ([0], [0, 1], [1.0], "lengths differ"),
+        ],
+    )
+    def test_bad_triplets_rejected(self, rows, cols, values, message):
+        with pytest.raises(ValueError, match=message):
+            OperatorMatrix.from_triplets((2,), rows, cols, values)
+
+    def test_pickle_round_trip(self):
+        op = pickle.loads(pickle.dumps(OperatorMatrix((2,), SIGMA_X)))
+        np.testing.assert_array_equal(op.entries, SIGMA_X)
+
+    def test_identity_is_sparse(self):
+        op = identity((2, 3))
+        assert op.values.size == 6
+        np.testing.assert_array_equal(op.entries, np.eye(6))
 
 
 def dense_is_hermitian(m, tol):
