@@ -31,6 +31,7 @@ from .errors import ConfigError, QsnomError
 from .hamiltonian import N_MAX_LIMIT
 from .inversion import (
     SWEEP_AXES,
+    SWEEP_COUNT_LIMIT,
     SWEEP_OUTPUTS,
     InversionProblem,
     SweepSpec,
@@ -244,6 +245,10 @@ def _validate(cfg: RunConfig) -> None:
     require(cfg.max_iter >= 1, f"max_iter must be >= 1, got {cfg.max_iter!r}")
     if cfg.sweep_count is not None:
         require(cfg.sweep_count >= 2, f"sweep_count must be >= 2, got {cfg.sweep_count!r}")
+        require(
+            cfg.sweep_count <= SWEEP_COUNT_LIMIT,
+            f"sweep_count must be <= {SWEEP_COUNT_LIMIT}, got {cfg.sweep_count!r}",
+        )
     unknown = [c for c in cfg.sweep_outputs if c not in SWEEP_OUTPUTS]
     require(
         not unknown,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsnom import cli, crosscheck
+from qsnom import cli, crosscheck, inversion
 from qsnom.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -27,6 +27,12 @@ from qsnom.cli import (
 )
 from qsnom.errors import ConfigError, DegenerateGapError
 from qsnom.hamiltonian import N_MAX_LIMIT
+
+
+SWEEP_RANGE = [
+    "sweep", "--set", "sweep_axis=R", "--set", "sweep_start=1", "--set", "sweep_stop=2",
+    "--set",
+]
 
 
 def report_dict(text):
@@ -203,6 +209,25 @@ class TestExitCodes:
         assert main(argv + ["--set", f"n_max={N_MAX_LIMIT}"]) == EXIT_OK
         report = report_dict(capsys.readouterr().out)
         assert float(report["delta_e_eV"]) == pytest.approx(-7.8125e-6, rel=1e-12)
+
+    def test_sweep_count_above_the_limit_is_config_error(self, tmp_path, capsys):
+        limit = inversion.SWEEP_COUNT_LIMIT
+        for count in (limit + 1, 10**18):
+            code = main(SWEEP_RANGE + [f"sweep_count={count}", "--out", str(tmp_path / "s.csv")])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: sweep_count must be <= {limit}, got {count}\n"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_count_at_the_limit_runs(self, tmp_path):
+        limit = inversion.SWEEP_COUNT_LIMIT
+        out = tmp_path / "s.csv"
+        argv = SWEEP_RANGE + [
+            f"sweep_count={limit}", "--set", "sweep_outputs=alpha", "--out", str(out)
+        ]
+        assert main(argv) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == limit + 1
 
     def test_invert_near_the_surface(self, capsys):
         # the bracket top lies past the point where the shift reaches
@@ -589,22 +614,31 @@ PLAIN_OVERRIDES = st.one_of(
     st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(("0.5", "1", "3"))),
     st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(("1", "2", "8"))),
     st.tuples(st.just("n_max"), st.sampled_from(("1024", "1025", "100000000"))),
+    st.tuples(
+        st.just("sweep_count"),
+        st.sampled_from((str(inversion.SWEEP_COUNT_LIMIT + 1), str(10**18))),
+    ),
     st.tuples(st.just("forward_method"), st.sampled_from(("closed", "oracle"))),
     st.tuples(st.just("sweep_axis"), st.sampled_from(cli.SWEEP_AXES)),
 )
-# what each command needs to get past its own checks
-BASE_OVERRIDES = {
-    "simulate": {},
-    "invert": {"observed_omega_s": "0.9999"},
-    "oracle-check": {},
-    "sweep": {"sweep_axis": "epsilon_d", "sweep_values": "1,3"},
-}
+# each command with what it needs to get past its own checks; sweep
+# comes in both shapes
+BASE_OVERRIDES = (
+    ("simulate", {}),
+    ("invert", {"observed_omega_s": "0.9999"}),
+    ("oracle-check", {}),
+    ("sweep", {"sweep_axis": "epsilon_d", "sweep_values": "1,3"}),
+    (
+        "sweep",
+        {"sweep_axis": "R", "sweep_start": "1", "sweep_stop": "2", "sweep_count": "3"},
+    ),
+)
 
 
 class TestRobustness:
     @settings(max_examples=300, deadline=None)
     @given(
-        command=st.sampled_from(sorted(BASE_OVERRIDES)),
+        base=st.sampled_from(BASE_OVERRIDES),
         plain=st.lists(PLAIN_OVERRIDES, max_size=3),
         huge_or_tiny=st.lists(HUGE_OR_TINY, max_size=2),
         invalid=st.lists(INVALID_OVERRIDES, max_size=1),
@@ -612,7 +646,7 @@ class TestRobustness:
         out=st.sampled_from(("fresh.txt", None, ".", "x.meta", "existing")),
     )
     def test_random_overrides_end_in_a_classed_exit(
-        self, command, plain, huge_or_tiny, invalid, repeat_key, out
+        self, base, plain, huge_or_tiny, invalid, repeat_key, out
     ):
         """Every input ends in exit 0, 2, 3 or 4, never in an exception.
 
@@ -620,12 +654,15 @@ class TestRobustness:
         and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It may
         repeat a key, and it writes to a fresh file, to ``.``, to
         ``x.meta`` or to an existing directory. ``n_max`` is at most 8,
-        or at, just above or far above its limit. On exit 0 every
+        or at, just above or far above its limit; ``sweep_count`` is at
+        most 8, or just or far above its limit, and a sweep gives its
+        values as a list or as a range. On exit 0 every
         number that ``simulate`` and ``invert`` print, and every
         non-empty numeric cell of the ``oracle-check`` CSV, must be
         finite.
         """
-        entries = dict(BASE_OVERRIDES[command])
+        command, base_entries = base
+        entries = dict(base_entries)
         entries.update(plain + huge_or_tiny + invalid)
         pairs = list(entries.items())
         if repeat_key and pairs:

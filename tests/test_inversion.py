@@ -412,8 +412,9 @@ class TestSweepSpec:
     def test_from_range_validation(self):
         with pytest.raises(ValueError, match="spacing"):
             SweepSpec.from_range("epsilon_d", 1.0, 3.0, 5, spacing="geo", fixed=self.FIXED)
-        with pytest.raises(ValueError, match="count"):
-            SweepSpec.from_range("epsilon_d", 1.0, 3.0, 1, fixed=self.FIXED)
+        for count in (1, inversion.SWEEP_COUNT_LIMIT + 1, 10**18):
+            with pytest.raises(ValueError, match="count"):
+                SweepSpec.from_range("epsilon_d", 1.0, 3.0, count, fixed=self.FIXED)
         with pytest.raises(ValueError, match="positive"):
             SweepSpec.from_range(
                 "omega", 0.0, 3.0, 4, spacing="log", fixed={"R": 0.5, "epsilon_d": 3.0, "kappa": 1.0}
