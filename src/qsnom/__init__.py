@@ -4,151 +4,63 @@ A two-level dipole at an AFM tip apex, its image inside a dielectric
 sample, and one photon mode: build the coupled Hamiltonians, perturb,
 predict the scattered photon, and invert a measured frequency shift
 back to the sample permittivity.
+
+The package exports the names of the README's library tour, the sweep
+entry points and the model's error classes; everything else is imported
+from its submodule.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .closedform import (
-    BetaCoefficients,
-    InitialCoefficients,
-    ScatteredPhotonReport,
-    beta_coefficients,
-    density_matrix,
-    energy_shift,
-    photon_report,
-    scattered_amplitude,
-    scattered_frequency,
-)
-from .crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
-from .dipole import (
-    UNITS,
-    DielectricSample,
-    ImageDipole,
-    NearFieldReport,
-    TipDipole,
-    UnitContract,
-    derive_image,
-    image_alpha,
-    near_field_check,
-)
+from .closedform import InitialCoefficients, photon_report
+from .crosscheck import consistency_report
+from .dipole import DielectricSample, TipDipole, derive_image
 from .errors import (
-    AmbiguousMatchingError,
-    BadSubsystemIndexError,
     ConfigError,
     DegenerateDenominatorError,
     DegenerateGapError,
     NoConvergenceError,
-    NotHermitianError,
-    NotNormalizedError,
     OutOfBracketError,
     QsnomError,
     ShiftExceedsGapError,
     UnsupportedPermittivityError,
-    ZeroStateError,
 )
-from .hamiltonian import (
-    HamiltonianPair,
-    ModelConfig,
-    basis_index,
-    build_delta_h,
-    build_h0,
-    build_hamiltonian_pair,
-    coupling_constant,
-    regime_warnings,
-)
+from .hamiltonian import ModelConfig, basis_index, build_hamiltonian_pair
 from .inversion import (
-    SWEEP_AXES,
-    SWEEP_OUTPUTS,
-    ForwardResult,
     InversionProblem,
-    InversionResult,
     SweepSpec,
     forward,
     invert_permittivity,
     run_sweep,
 )
-from .perturbation import (
-    ExactComparison,
-    PerturbationResult,
-    rs_pt2,
-    validate_against_exact,
-)
-from .tensor import (
-    EigenDecomposition,
-    OperatorMatrix,
-    StateVector,
-    eigh,
-    identity,
-    kron,
-    outer,
-    partial_trace,
-)
+from .perturbation import rs_pt2, validate_against_exact
 
 __all__ = [
     "__version__",
-    "UNITS",
-    "AmbiguousMatchingError",
-    "BadSubsystemIndexError",
-    "BetaCoefficients",
     "ConfigError",
-    "ConsistencyReport",
-    "ConsistencyRow",
     "DegenerateDenominatorError",
     "DegenerateGapError",
     "DielectricSample",
-    "EigenDecomposition",
-    "ExactComparison",
-    "ForwardResult",
-    "HamiltonianPair",
-    "ImageDipole",
     "InitialCoefficients",
     "InversionProblem",
-    "InversionResult",
     "ModelConfig",
-    "NearFieldReport",
     "NoConvergenceError",
-    "NotHermitianError",
-    "NotNormalizedError",
-    "OperatorMatrix",
     "OutOfBracketError",
-    "PerturbationResult",
     "QsnomError",
-    "SWEEP_AXES",
-    "SWEEP_OUTPUTS",
-    "ScatteredPhotonReport",
     "ShiftExceedsGapError",
-    "StateVector",
     "SweepSpec",
     "TipDipole",
-    "UnitContract",
     "UnsupportedPermittivityError",
-    "ZeroStateError",
     "basis_index",
-    "beta_coefficients",
-    "build_delta_h",
-    "build_h0",
     "build_hamiltonian_pair",
     "consistency_report",
-    "coupling_constant",
-    "density_matrix",
     "derive_image",
-    "eigh",
-    "energy_shift",
     "forward",
-    "identity",
-    "image_alpha",
     "invert_permittivity",
-    "kron",
-    "near_field_check",
-    "outer",
-    "partial_trace",
     "photon_report",
-    "regime_warnings",
     "rs_pt2",
     "run_sweep",
-    "scattered_amplitude",
-    "scattered_frequency",
     "validate_against_exact",
 ]

@@ -94,7 +94,6 @@ class RunConfig:
     sweep_outputs: tuple[str, ...] = SWEEP_OUTPUTS
     oracle_epsilon_values: tuple[float, ...] = (3.0,)
     oracle_heights_nm: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    seed: int | None = None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -160,7 +159,6 @@ _PARSERS: dict[str, Callable[[str, str], object]] = {
     "sweep_outputs": _parse_str_list,
     "oracle_epsilon_values": _parse_float_list,
     "oracle_heights_nm": _parse_float_list,
-    "seed": _parse_int,
 }
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import UNITS
 from .errors import (
     DegenerateDenominatorError,
     NotNormalizedError,
@@ -202,7 +201,7 @@ def energy_shift(
 
 
 def scattered_frequency(omega: float, delta_e: float) -> float:
-    """Emitted angular frequency (omega - |delta_e|) / hbar.
+    """Emitted angular frequency omega - |delta_e|, in eV since hbar = 1.
 
     Raises
     ------
@@ -217,7 +216,7 @@ def scattered_frequency(omega: float, delta_e: float) -> float:
         raise ShiftExceedsGapError(
             f"|delta_e| = {shift!r} eV reaches the bare gap {omega!r} eV"
         )
-    return (omega - shift) / UNITS.hbar
+    return omega - shift
 
 
 def photon_report(

@@ -14,44 +14,16 @@ from dataclasses import dataclass
 from .errors import UnsupportedPermittivityError
 
 __all__ = [
-    "UnitContract",
-    "UNITS",
     "DielectricSample",
     "TipDipole",
     "ImageDipole",
     "NearFieldReport",
-    "image_alpha",
     "derive_image",
     "near_field_check",
 ]
 
 #: hbar * c in eV nm, fixed by convention for wavelength conversions.
 HBAR_C_EV_NM = 197.3269804
-
-
-@dataclass(frozen=True)
-class UnitContract:
-    """Unit conventions: eV for energy, nm for length, hbar = 1."""
-
-    hbar: float = 1.0
-    hbar_c_ev_nm: float = HBAR_C_EV_NM
-
-    def frequency_from_energy(self, energy_ev: float) -> float:
-        """Angular frequency (units of eV/hbar) for an energy in eV."""
-        return energy_ev / self.hbar
-
-    def energy_from_frequency(self, omega: float) -> float:
-        """Energy in eV for an angular frequency in eV/hbar."""
-        return omega * self.hbar
-
-    def reduced_wavelength_nm(self, energy_ev: float) -> float:
-        """Reduced wavelength c/omega in nm for a transition energy in eV."""
-        if energy_ev <= 0:
-            raise ValueError(f"energy must be positive, got {energy_ev!r}")
-        return self.hbar_c_ev_nm / energy_ev
-
-
-UNITS = UnitContract()
 
 
 @dataclass(frozen=True)
@@ -121,11 +93,6 @@ class NearFieldReport:
     factor: float
 
 
-def image_alpha(sample: DielectricSample) -> float:
-    """Image response factor of the sample interface."""
-    return sample.alpha
-
-
 def derive_image(tip: TipDipole, sample: DielectricSample) -> ImageDipole:
     """Build the image dipole induced by ``tip`` above ``sample``.
 
@@ -159,6 +126,6 @@ def near_field_check(
     gaps = [tip.omega]
     if image.omega_image > 0:
         gaps.append(image.omega_image)
-    shortest = min(UNITS.reduced_wavelength_nm(e) for e in gaps)
+    shortest = min(HBAR_C_EV_NM / e for e in gaps)
     ratio = tip.separation / shortest
     return NearFieldReport(passed=ratio < factor, ratio=ratio, factor=factor)

@@ -20,13 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import closedform
-from .dipole import (
-    UNITS,
-    DielectricSample,
-    TipDipole,
-    derive_image,
-    near_field_check,
-)
+from .dipole import DielectricSample, TipDipole, derive_image, near_field_check
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
 from .hamiltonian import (
     ModelConfig,
@@ -262,7 +256,7 @@ def _invert_closed(problem: InversionProblem) -> InversionResult:
     # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
     # where c cannot
     observed = problem.observed_omega_s
-    shift = omega - observed * UNITS.hbar
+    shift = omega - observed
     c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
     a = math.sqrt(shift / (c - shift))
     # a rounds to 1 only for a bracket top next to the metallic limit

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from qsnom.dipole import (
     HBAR_C_EV_NM,
-    UNITS,
     DielectricSample,
     TipDipole,
     derive_image,
-    image_alpha,
     near_field_check,
 )
 from qsnom.errors import UnsupportedPermittivityError
@@ -17,17 +15,17 @@ from qsnom.errors import UnsupportedPermittivityError
 
 class TestSampleResponse:
     def test_vacuum_has_no_image(self):
-        assert image_alpha(DielectricSample(1.0)) == 0.0
+        assert DielectricSample(1.0).alpha == 0.0
 
     def test_reference_values(self):
-        assert image_alpha(DielectricSample(3.0)) == pytest.approx(0.5, abs=1e-15)
-        assert image_alpha(DielectricSample(11.7)) == pytest.approx(
+        assert DielectricSample(3.0).alpha == pytest.approx(0.5, abs=1e-15)
+        assert DielectricSample(11.7).alpha == pytest.approx(
             10.7 / 12.7, abs=1e-15
         )
 
     def test_large_permittivity_saturates(self):
-        assert image_alpha(DielectricSample(1e8)) == pytest.approx(1.0, abs=1e-7)
-        assert image_alpha(DielectricSample(1e8)) < 1.0
+        assert DielectricSample(1e8).alpha == pytest.approx(1.0, abs=1e-7)
+        assert DielectricSample(1e8).alpha < 1.0
 
     def test_rejects_sub_unit_permittivity(self):
         for eps in (0.99, 0.0, -2.0):
@@ -77,26 +75,14 @@ class TestImageDerivation:
             TipDipole(omega=1.0, height_nm=1.0, moment_scale=0.0)
 
 
-class TestUnits:
-    def test_energy_frequency_round_trip(self):
-        for e in (0.1, 1.0, 3.5):
-            assert UNITS.energy_from_frequency(
-                UNITS.frequency_from_energy(e)
-            ) == pytest.approx(e, rel=1e-15)
-
-    def test_reduced_wavelength(self):
-        assert UNITS.reduced_wavelength_nm(1.0) == pytest.approx(HBAR_C_EV_NM)
-        assert UNITS.reduced_wavelength_nm(2.0) == pytest.approx(HBAR_C_EV_NM / 2)
-        with pytest.raises(ValueError):
-            UNITS.reduced_wavelength_nm(0.0)
-
-
 class TestNearFieldCheck:
     def test_nanoscale_gap_passes(self):
-        tip = TipDipole(omega=1.0, height_nm=1.0)
-        report = near_field_check(tip, derive_image(tip, DielectricSample(1.0)))
-        assert report.passed
-        assert report.ratio == pytest.approx(2.0 / HBAR_C_EV_NM, rel=1e-12)
+        # the reduced wavelength is hbar c / omega
+        for omega in (1.0, 2.0):
+            tip = TipDipole(omega=omega, height_nm=1.0)
+            report = near_field_check(tip, derive_image(tip, DielectricSample(1.0)))
+            assert report.passed
+            assert report.ratio == pytest.approx(2.0 * omega / HBAR_C_EV_NM, rel=1e-12)
 
     def test_wavelength_scale_gap_fails(self):
         tip = TipDipole(omega=1.0, height_nm=50.0)
