@@ -31,7 +31,6 @@ from qsnom.hamiltonian import N_MAX_LIMIT
 
 SWEEP_RANGE = [
     "sweep", "--set", "sweep_axis=R", "--set", "sweep_start=1", "--set", "sweep_stop=2",
-    "--set",
 ]
 
 
@@ -213,7 +212,10 @@ class TestExitCodes:
     def test_sweep_count_above_the_limit_is_config_error(self, tmp_path, capsys):
         limit = inversion.SWEEP_COUNT_LIMIT
         for count in (limit + 1, 10**18):
-            code = main(SWEEP_RANGE + [f"sweep_count={count}", "--out", str(tmp_path / "s.csv")])
+            code = main(
+                SWEEP_RANGE
+                + ["--set", f"sweep_count={count}", "--out", str(tmp_path / "s.csv")]
+            )
             assert code == EXIT_CONFIG
             assert capsys.readouterr().err == (
                 f"config error: sweep_count must be <= {limit}, got {count}\n"
@@ -224,7 +226,7 @@ class TestExitCodes:
         limit = inversion.SWEEP_COUNT_LIMIT
         out = tmp_path / "s.csv"
         argv = SWEEP_RANGE + [
-            f"sweep_count={limit}", "--set", "sweep_outputs=alpha", "--out", str(out)
+            "--set", f"sweep_count={limit}", "--set", "sweep_outputs=alpha", "--out", str(out)
         ]
         assert main(argv) == EXIT_OK
         assert len(out.read_text(encoding="utf-8").splitlines()) == limit + 1
