@@ -20,9 +20,9 @@ import os
 import secrets
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -68,34 +68,6 @@ ORACLE_CHECK_COLUMNS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration; field names double as config keys."""
-
-    epsilon_d: float = 3.0
-    R_nm: float = 1.0
-    omega_eV: float = 1.0
-    kappa: float = 0.05
-    n_max: int = 1
-    photon_energy_eV: float | None = None
-    near_field_factor: float = 0.1
-    forward_method: str = "closed"
-    tol_rel: float = 1e-10
-    observed_omega_s: float | None = None
-    bracket_lo: float = 1.0 + 1e-9
-    bracket_hi: float = 1e6
-    max_iter: int = 200
-    sweep_axis: str | None = None
-    sweep_values: tuple[float, ...] | None = None
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    sweep_count: int | None = None
-    sweep_spacing: str = "linear"
-    sweep_outputs: tuple[str, ...] = SWEEP_OUTPUTS
-    oracle_epsilon_values: tuple[float, ...] = (3.0,)
-    oracle_heights_nm: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-
-
 def _parse_float(key: str, raw: str) -> float:
     try:
         value = float(raw)
@@ -136,30 +108,90 @@ def _parse_choice(*options: str) -> Callable[[str, str], str]:
     return inner
 
 
-_PARSERS: dict[str, Callable[[str, str], object]] = {
-    "epsilon_d": _parse_float,
-    "R_nm": _parse_float,
-    "omega_eV": _parse_float,
-    "kappa": _parse_float,
-    "n_max": _parse_int,
-    "photon_energy_eV": _parse_float,
-    "near_field_factor": _parse_float,
-    "forward_method": _parse_choice("closed", "oracle"),
-    "tol_rel": _parse_float,
-    "observed_omega_s": _parse_float,
-    "bracket_lo": _parse_float,
-    "bracket_hi": _parse_float,
-    "max_iter": _parse_int,
-    "sweep_axis": _parse_choice(*SWEEP_AXES),
-    "sweep_values": _parse_float_list,
-    "sweep_start": _parse_float,
-    "sweep_stop": _parse_float,
-    "sweep_count": _parse_int,
-    "sweep_spacing": _parse_choice("linear", "log"),
-    "sweep_outputs": _parse_str_list,
-    "oracle_epsilon_values": _parse_float_list,
-    "oracle_heights_nm": _parse_float_list,
-}
+_Rule = Callable[[Any, "RunConfig"], "str | None"]
+
+
+def _known_columns(names: tuple[str, ...], cfg: RunConfig) -> str | None:
+    unknown = [c for c in names if c not in SWEEP_OUTPUTS]
+    if unknown:
+        return f"contains unknown column {unknown[0]!r}; valid: {SWEEP_OUTPUTS}"
+    return None
+
+
+def _rule(ok: Callable[[Any, RunConfig], bool], phrase: str) -> _Rule:
+    """A rule that fails with ``phrase`` and the value where ``ok`` is false."""
+
+    def check(value: Any, cfg: RunConfig) -> str | None:
+        return None if ok(value, cfg) else f"{phrase}, got {value!r}"
+
+    return check
+
+
+def _at_least(low: int) -> _Rule:
+    return _rule(lambda v, _: v >= low, f"must be >= {low}")
+
+
+_POSITIVE = _rule(lambda v, _: v > 0, "must be positive")
+
+
+def _key(default: object, parse: Callable[[str, str], object], *rules: _Rule) -> Any:
+    """Declare a config key: its default, its parser and its rules."""
+    return field(default=default, metadata={"parse": parse, "rules": rules})
+
+
+@dataclass
+class RunConfig:
+    """Resolved run configuration; field names double as config keys.
+
+    Each field declares its key once: the default, the parser of its
+    text value, and the rules the resolved value must pass. A rule
+    returns what is wrong with the value, or ``None``; a key left unset
+    (``None``) passes every rule.
+    """
+
+    epsilon_d: float = _key(3.0, _parse_float, _at_least(1))
+    R_nm: float = _key(1.0, _parse_float, _POSITIVE)
+    omega_eV: float = _key(1.0, _parse_float, _POSITIVE)
+    kappa: float = _key(0.05, _parse_float, _POSITIVE)
+    n_max: int = _key(
+        1,
+        _parse_int,
+        _rule(lambda v, _: 1 <= v <= N_MAX_LIMIT, f"must lie in 1..{N_MAX_LIMIT}"),
+    )
+    photon_energy_eV: float | None = _key(None, _parse_float, _POSITIVE)
+    near_field_factor: float = _key(0.1, _parse_float, _POSITIVE)
+    forward_method: str = _key("closed", _parse_choice("closed", "oracle"))
+    tol_rel: float = _key(1e-10, _parse_float, _POSITIVE)
+    observed_omega_s: float | None = _key(None, _parse_float, _POSITIVE)
+    bracket_lo: float = _key(
+        1.0 + 1e-9, _parse_float, _rule(lambda v, _: v > 1, "must exceed 1")
+    )
+    bracket_hi: float = _key(
+        1e6,
+        _parse_float,
+        _rule(lambda v, cfg: v > cfg.bracket_lo, "must exceed bracket_lo"),
+    )
+    max_iter: int = _key(200, _parse_int, _at_least(1))
+    sweep_axis: str | None = _key(None, _parse_choice(*SWEEP_AXES))
+    sweep_values: tuple[float, ...] | None = _key(None, _parse_float_list)
+    sweep_start: float | None = _key(None, _parse_float)
+    sweep_stop: float | None = _key(None, _parse_float)
+    sweep_count: int | None = _key(
+        None,
+        _parse_int,
+        _at_least(2),
+        _rule(
+            lambda v, _: v <= SWEEP_COUNT_LIMIT, f"must be <= {SWEEP_COUNT_LIMIT}"
+        ),
+    )
+    sweep_spacing: str = _key("linear", _parse_choice("linear", "log"))
+    sweep_outputs: tuple[str, ...] = _key(
+        SWEEP_OUTPUTS, _parse_str_list, _known_columns
+    )
+    oracle_epsilon_values: tuple[float, ...] = _key((3.0,), _parse_float_list)
+    oracle_heights_nm: tuple[float, ...] = _key(
+        (0.5, 1.0, 2.0, 4.0), _parse_float_list
+    )
 
 
 def _fmt(value: object) -> str:
@@ -207,70 +239,31 @@ def parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
     return entries
 
 
-def _validate(cfg: RunConfig) -> None:
-    def require(cond: bool, message: str) -> None:
-        if not cond:
-            raise ConfigError(message)
-
-    require(cfg.epsilon_d >= 1, f"epsilon_d must be >= 1, got {cfg.epsilon_d!r}")
-    require(cfg.R_nm > 0, f"R_nm must be positive, got {cfg.R_nm!r}")
-    require(cfg.omega_eV > 0, f"omega_eV must be positive, got {cfg.omega_eV!r}")
-    require(cfg.kappa > 0, f"kappa must be positive, got {cfg.kappa!r}")
-    require(
-        1 <= cfg.n_max <= N_MAX_LIMIT,
-        f"n_max must lie in 1..{N_MAX_LIMIT}, got {cfg.n_max!r}",
-    )
-    if cfg.photon_energy_eV is not None:
-        require(
-            cfg.photon_energy_eV > 0,
-            f"photon_energy_eV must be positive, got {cfg.photon_energy_eV!r}",
-        )
-    require(
-        cfg.near_field_factor > 0,
-        f"near_field_factor must be positive, got {cfg.near_field_factor!r}",
-    )
-    require(cfg.tol_rel > 0, f"tol_rel must be positive, got {cfg.tol_rel!r}")
-    if cfg.observed_omega_s is not None:
-        require(
-            cfg.observed_omega_s > 0,
-            f"observed_omega_s must be positive, got {cfg.observed_omega_s!r}",
-        )
-    require(cfg.bracket_lo > 1, f"bracket_lo must exceed 1, got {cfg.bracket_lo!r}")
-    require(
-        cfg.bracket_hi > cfg.bracket_lo,
-        f"bracket_hi must exceed bracket_lo, got {cfg.bracket_hi!r}",
-    )
-    require(cfg.max_iter >= 1, f"max_iter must be >= 1, got {cfg.max_iter!r}")
-    if cfg.sweep_count is not None:
-        require(cfg.sweep_count >= 2, f"sweep_count must be >= 2, got {cfg.sweep_count!r}")
-        require(
-            cfg.sweep_count <= SWEEP_COUNT_LIMIT,
-            f"sweep_count must be <= {SWEEP_COUNT_LIMIT}, got {cfg.sweep_count!r}",
-        )
-    unknown = [c for c in cfg.sweep_outputs if c not in SWEEP_OUTPUTS]
-    require(
-        not unknown,
-        f"sweep_outputs contains unknown column {unknown[0] if unknown else ''!r};"
-        f" valid: {SWEEP_OUTPUTS}",
-    )
-
-
 def resolve_config(
     file_entries: dict[str, str],
     overrides: dict[str, str],
 ) -> RunConfig:
-    """Merge defaults, file entries, and overrides; reject unknown keys."""
+    """Merge defaults, file entries, and overrides; reject unknown keys.
+
+    Every given value is parsed before any rule runs, and the rules then
+    run over the resolved values in field order, defaults included.
+    """
     cfg = RunConfig()
+    keys = {f.name: f.metadata for f in fields(RunConfig)}
     merged = dict(file_entries)
     merged.update(overrides)
     for key, raw in merged.items():
-        parser = _PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: {sorted(_PARSERS)}"
-            )
-        setattr(cfg, key, parser(key, raw))
-    _validate(cfg)
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}; valid keys: {sorted(keys)}")
+        setattr(cfg, key, keys[key]["parse"](key, raw))
+    for key, meta in keys.items():
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        for rule in meta["rules"]:
+            problem = rule(value, cfg)
+            if problem is not None:
+                raise ConfigError(f"{key} {problem}")
     return cfg
 
 
@@ -470,7 +463,7 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
                 photon_energy=cfg.photon_energy_eV,
             )
         except (QsnomError, ValueError, ArithmeticError) as exc:
-            alpha = (eps - 1.0) / (eps + 1.0)
+            alpha = (eps - 1.0) / (eps + 1.0) if eps != -1.0 else None
             failures.append((alpha, exc))
             table.append(
                 [eps, alpha] + [None] * (len(ORACLE_CHECK_COLUMNS) - 4)

@@ -120,7 +120,7 @@ class ConsistencyReport:
 
 def _fit_exponent(heights: Sequence[float], values: Sequence[float]) -> float:
     mags = np.abs(np.asarray(values, dtype=float))
-    if len(heights) < 2 or np.any(mags == 0.0) or not np.all(np.isfinite(mags)):
+    if len(set(heights)) < 2 or np.any(mags == 0.0) or not np.all(np.isfinite(mags)):
         return math.nan
     slope = np.polyfit(np.log(np.asarray(heights, dtype=float)), np.log(mags), 1)[0]
     return float(slope)

@@ -209,16 +209,16 @@ def validate_against_exact(
     sub = np.zeros((block.size, block.size), dtype=complex)
     sub[at] = v.values[inside]
     sub[np.diag_indices(block.size)] += h0.diagonal()[block]
-    decomposition = eigh(OperatorMatrix((block.size,), sub))
+    values, vectors = eigh(OperatorMatrix((block.size,), sub))
     local = int(np.searchsorted(block, state_index))
-    weights = np.abs(decomposition.eigenvectors[local, :]) ** 2
+    weights = np.abs(vectors[local, :]) ** 2
     best = int(np.argmax(weights))
     if weights[best] < overlap_threshold:
         raise AmbiguousMatchingError(
             f"largest overlap {weights[best]:.3f} with basis state"
             f" {state_index} is below threshold {overlap_threshold}"
         )
-    exact = float(decomposition.eigenvalues[best])
+    exact = float(values[best])
     pt2 = result.e0 + result.e1 + result.e2
     return ExactComparison(
         pt2_energy=pt2,

@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "StateVector",
     "OperatorMatrix",
-    "EigenDecomposition",
     "kron",
     "eigh",
     "partial_trace",
@@ -218,26 +217,6 @@ class OperatorMatrix:
         return dev <= tol * scale
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Result of a Hermitian eigendecomposition.
-
-    ``eigenvalues`` are real and ascending; column ``k`` of
-    ``eigenvectors`` belongs to ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=complex)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
 def identity(dims: Sequence[int]) -> OperatorMatrix:
     """Identity operator on the register described by ``dims``."""
     index = np.arange(math.prod(_check_dims(dims)))
@@ -249,8 +228,11 @@ def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 
-def eigh(m: OperatorMatrix, tol: float = 1e-12) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator.
+def eigh(m: OperatorMatrix, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian operator, as ``np.linalg.eigh``.
+
+    Returns the eigenvalues, real and ascending, and the eigenvectors,
+    column ``k`` belonging to eigenvalue ``k``.
 
     Raises
     ------
@@ -263,8 +245,7 @@ def eigh(m: OperatorMatrix, tol: float = 1e-12) -> EigenDecomposition:
             f"operator deviates from Hermiticity by {dev:.3e}"
             f" (tolerance {tol:g} relative)"
         )
-    vals, vecs = np.linalg.eigh(m.entries)
-    return EigenDecomposition(vals, vecs)
+    return np.linalg.eigh(m.entries)
 
 
 def partial_trace(rho: OperatorMatrix, keep: Iterable[int]) -> OperatorMatrix:

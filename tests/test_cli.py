@@ -85,6 +85,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="omega_eV"):
             resolve_config({}, {"omega_eV": "fast"})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # every value is parsed before any rule runs
+            ({"R_nm": "-1", "omega_eV": "fast"}, "omega_eV must be a number"),
+            # rules run in field order, not in the order keys are given
+            ({"kappa": "0", "R_nm": "-1"}, "R_nm must be positive"),
+            # the default bracket_hi is checked against a given bracket_lo
+            ({"bracket_lo": "2e6"}, "bracket_hi must exceed bracket_lo, got 1000000.0"),
+        ],
+    )
+    def test_first_error_reported(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            resolve_config({}, overrides)
+        assert str(info.value).startswith(message)
+
     def test_non_finite_file_entry_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epsilon_d = inf\n")
@@ -467,19 +483,26 @@ class TestOracleCheck:
             assert float(line.split(",")[alpha_col]) == pytest.approx(0.9999, abs=1e-9)
             assert "perturbative regime" in line
 
-    def test_undefined_exponent_is_an_empty_cell(self, tmp_path):
-        # at epsilon_d = 1 every shift is 0 and no exponent can be fitted
-        out = tmp_path / "vacuum.csv"
-        code = main(
-            ["oracle-check", "--set", "oracle_epsilon_values=1", "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert len(rows) == 4
-        for row in rows:
-            assert row["closed_height_exponent"] == ""
-            assert row["oracle_height_exponent"] == ""
-            assert row["error"] == ""
+    def test_undefined_exponent_is_an_empty_cell(self, tmp_path, capsys):
+        for override, heights in (
+            # at epsilon_d = 1 every shift is 0
+            ("oracle_epsilon_values=1", 4),
+            # repeated heights leave fewer than two distinct ones to fit
+            ("oracle_heights_nm=1,1", 2),
+            ("oracle_heights_nm=2,2,2", 3),
+        ):
+            out = tmp_path / f"{override}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["oracle-check", "--set", override, "--out", str(out)])
+            assert code == EXIT_OK, override
+            assert capsys.readouterr().err == ""
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            assert len(rows) == heights
+            for row in rows:
+                assert row["closed_height_exponent"] == ""
+                assert row["oracle_height_exponent"] == ""
+                assert row["error"] == ""
 
     def test_every_point_failing_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -516,18 +539,27 @@ class TestOracleCheck:
         assert sum("DegenerateGapError" in line for line in lines) == 1
 
     def test_plain_error_at_one_point_is_recorded(self, tmp_path, capsys):
-        # alpha rounds to 1 above epsilon_d ~ 1e16, which the sample rejects
-        out = tmp_path / "grid.csv"
-        code = main(
-            ["oracle-check", "--set", "oracle_epsilon_values=3,1e17", "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        assert capsys.readouterr().err == ""
-        rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert [row["epsilon_d"] for row in rows] == ["3"] * 4 + ["1e+17"]
-        assert [row["error"] for row in rows[:4]] == [""] * 4
-        assert rows[4]["alpha"] == "1"
-        assert rows[4]["error"] == "ValueError: alpha must lie in [0, 1), got 1.0"
+        for second, eps_cell, alpha_cell, error in (
+            # alpha rounds to 1 above epsilon_d ~ 1e16, which the sample rejects
+            ("1e17", "1e+17", "1", "ValueError: alpha must lie in [0, 1), got 1.0"),
+            # alpha = (eps - 1) / (eps + 1) has no value at eps = -1
+            (
+                "-1",
+                "-1",
+                "",
+                "UnsupportedPermittivityError: epsilon_d must be >= 1, got -1.0",
+            ),
+        ):
+            out = tmp_path / "grid.csv"
+            override = f"oracle_epsilon_values=3,{second}"
+            code = main(["oracle-check", "--set", override, "--out", str(out)])
+            assert code == EXIT_OK
+            assert capsys.readouterr().err == ""
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            assert [row["epsilon_d"] for row in rows] == ["3"] * 4 + [eps_cell]
+            assert [row["error"] for row in rows[:4]] == [""] * 4
+            assert rows[4]["alpha"] == alpha_cell
+            assert rows[4]["error"] == error
 
     @pytest.mark.parametrize(
         "override, error",
@@ -535,6 +567,7 @@ class TestOracleCheck:
             ("oracle_epsilon_values=1e17,1e18", "ValueError: alpha must lie"),
             ("kappa=1e300", "OverflowError: "),
             ("oracle_heights_nm=1e-300,1", "ZeroDivisionError: "),
+            ("oracle_epsilon_values=-1", "UnsupportedPermittivityError: "),
         ],
     )
     def test_every_point_failing_with_a_plain_error_exits_3(
@@ -622,6 +655,11 @@ PLAIN_OVERRIDES = st.one_of(
     ),
     st.tuples(st.just("forward_method"), st.sampled_from(("closed", "oracle"))),
     st.tuples(st.just("sweep_axis"), st.sampled_from(cli.SWEEP_AXES)),
+    # a valid entry beside a bad or a repeated one
+    st.tuples(
+        st.sampled_from(("oracle_epsilon_values", "oracle_heights_nm")),
+        st.sampled_from(("3,-1", "1,1")),
+    ),
 )
 # each command with what it needs to get past its own checks; sweep
 # comes in both shapes
@@ -658,7 +696,8 @@ class TestRobustness:
         ``x.meta`` or to an existing directory. ``n_max`` is at most 8,
         or at, just above or far above its limit; ``sweep_count`` is at
         most 8, or just or far above its limit, and a sweep gives its
-        values as a list or as a range. On exit 0 every
+        values as a list or as a range. The ``oracle-check`` grids may
+        mix a valid entry with a bad or repeated one. On exit 0 every
         number that ``simulate`` and ``invert`` print, and every
         non-empty numeric cell of the ``oracle-check`` CSV, must be
         finite.

@@ -196,7 +196,7 @@ class TestAssembledPair:
         g = 0.01
         dh = build_delta_h(g, cfg)
         total = OperatorMatrix(h0.dims, h0.entries + dh.entries)
-        ground = eigh(total).eigenvalues[0]
+        ground = eigh(total)[0][0]
         gap = 1.25
         exact = (gap - np.sqrt(gap * gap + 4 * g * g)) / 2
         assert ground == pytest.approx(exact, abs=1e-14)

@@ -211,8 +211,8 @@ class TestKron:
 
 class TestEigh:
     def test_two_level_flip(self):
-        dec = eigh(OperatorMatrix((2,), SIGMA_X))
-        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-15)
+        values, _ = eigh(OperatorMatrix((2,), SIGMA_X))
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
 
     def test_rejects_non_hermitian(self):
         m = OperatorMatrix((2,), np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -225,17 +225,17 @@ class TestEigh:
         for _ in range(1000):
             dim = int(rng.integers(2, 17))
             m = random_hermitian(rng, dim)
-            dec = eigh(OperatorMatrix((dim,), m))
-            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+            values, vectors = eigh(OperatorMatrix((dim,), m))
+            rebuilt = (vectors * values) @ vectors.conj().T
             scale = np.max(np.abs(m))
             assert np.max(np.abs(rebuilt - m)) < 1e-10 * scale
-            assert np.all(np.diff(dec.eigenvalues) >= 0)
+            assert np.all(np.diff(values) >= 0)
 
     def test_eigenvectors_unitary(self):
         rng = np.random.default_rng(3)
         m = random_hermitian(rng, 8)
-        dec = eigh(OperatorMatrix((8,), m))
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        _, vectors = eigh(OperatorMatrix((8,), m))
+        gram = vectors.conj().T @ vectors
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-12)
 
 
