@@ -134,6 +134,19 @@ def _at_least(low: int) -> _Rule:
 _POSITIVE = _rule(lambda v, _: v > 0, "must be positive")
 
 
+def _each(rule: _Rule) -> _Rule:
+    """Apply ``rule`` to every entry of a list value; report the first failure."""
+
+    def check(values: tuple, cfg: RunConfig) -> str | None:
+        for value in values:
+            problem = rule(value, cfg)
+            if problem is not None:
+                return problem
+        return None
+
+    return check
+
+
 def _key(default: object, parse: Callable[[str, str], object], *rules: _Rule) -> Any:
     """Declare a config key: its default, its parser and its rules."""
     return field(default=default, metadata={"parse": parse, "rules": rules})
@@ -190,7 +203,7 @@ class RunConfig:
     )
     oracle_epsilon_values: tuple[float, ...] = _key((3.0,), _parse_float_list)
     oracle_heights_nm: tuple[float, ...] = _key(
-        (0.5, 1.0, 2.0, 4.0), _parse_float_list
+        (0.5, 1.0, 2.0, 4.0), _parse_float_list, _each(_POSITIVE)
     )
 
 

@@ -11,6 +11,7 @@ the two disagree, and the disagreement is reported rather than patched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class BetaCoefficients:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+        return math.hypot(self.beta1, self.beta2, self.beta3, self.beta4)
 
     def normalized(self) -> np.ndarray:
         n = self.norm

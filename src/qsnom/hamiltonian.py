@@ -154,6 +154,46 @@ def build_delta_h(g: float, cfg: ModelConfig | None = None) -> OperatorMatrix:
     )
 
 
+def _smallest_spacing(
+    tip: TipDipole,
+    image: ImageDipole,
+    cfg: ModelConfig | None,
+) -> float:
+    """Smallest positive gap between levels of the free spectrum.
+
+    Two levels differ by ``d + m * E`` with ``d`` one of 0, ``omega_img``,
+    ``omega``, ``|omega - omega_img|`` and ``omega + omega_img`` up to
+    sign, ``E`` the photon energy and ``|m| <= n_max``. For ``d > 0``
+    the smallest ``|d - m * E|`` lies at the ``m`` in ``0..n_max``
+    nearest ``d / E``; where that is an exact tie, the next best is
+    ``E``, the gap at ``d = 0``. The arithmetic runs in integers on the
+    binary values of the floats, so levels that are equal in exact
+    arithmetic count as one level, and the gap is rounded once.
+    """
+    n_max = 0 if cfg is None else cfg.n_max
+    photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
+    # as_integer_ratio raises on inf and nan; each denominator is a
+    # power of two, so the largest is a common one
+    w, w_den = tip.omega.as_integer_ratio()
+    v, v_den = abs(image.omega_image).as_integer_ratio()
+    e, e_den = photon.as_integer_ratio()
+    den = max(w_den, v_den, e_den)
+    w *= den // w_den
+    v *= den // v_den
+    e *= den // e_den
+    best = e if n_max else w  # a gap: d = 0 with m = 1, or d = omega alone
+    for d in (v, w, abs(w - v), w + v):
+        if n_max:
+            m, d = divmod(d, e)  # the nearest photon number is m or m + 1
+            if m >= n_max:
+                d += (m - n_max) * e
+            elif d + d > e:
+                d = e - d
+        if 0 < d < best:
+            best = d
+    return best / den
+
+
 def regime_warnings(
     tip: TipDipole,
     image: ImageDipole,
@@ -166,20 +206,11 @@ def regime_warnings(
     positive gap of the free spectrum; the build itself never fails on
     this.
     """
-    # Rounding is monotone, so the smallest positive |E_i - E_j| always
-    # lies between neighbours of the sorted spectrum.
-    spectrum = np.sort(_h0_energies(tip, image, cfg))
-    gaps = spectrum[1:] - spectrum[:-1]  # np.diff without its call overhead
-    positive = gaps[gaps > 0]
-    if positive.size == 0:
-        if g > 0:
-            return ("perturbative regime: free spectrum is fully degenerate",)
-        return ()
-    min_gap = float(positive.min())
-    if g > 0.1 * min_gap:
+    spacing = _smallest_spacing(tip, image, cfg)
+    if g > 0.1 * spacing:
         return (
             f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
-            f"positive level spacing {min_gap:.6g} eV",
+            f"positive level spacing {spacing:.6g} eV",
         )
     return ()
 

@@ -61,6 +61,9 @@ SWEEP_OUTPUTS = (
     "near_field_ratio",
 )
 
+# the closed route's initial state, built once rather than per call
+_GROUND_STATE = closedform.InitialCoefficients.ground_state()
+
 
 @dataclass(frozen=True)
 class ForwardResult:
@@ -156,7 +159,7 @@ def forward(
         g = coupling_constant(tip, sample, cfg)
         warnings = list(regime_warnings(tip, image, cfg, g))
         report = closedform.photon_report(
-            closedform.InitialCoefficients.ground_state(),
+            _GROUND_STATE,
             height_nm,
             sample.alpha,
             omega,

@@ -167,6 +167,16 @@ class TestExitCodes:
         assert f"{override.split('=')[0]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_height_in_the_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["oracle-check", "--set", "oracle_heights_nm=3,-1",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: oracle_heights_nm must be positive, got -1.0\n"
+        )
+        assert not out.exists()
+
     def test_repeated_set_key_is_config_error(self, capsys):
         code = main(["simulate", "--set", "kappa=0.1", "--set", "kappa=0.2"])
         assert code == EXIT_CONFIG
@@ -366,6 +376,14 @@ class TestSimulate:
         assert float(report["delta_e_eV"]) == pytest.approx(
             -0.4151497570527231, rel=1e-13
         )
+
+    def test_levels_tied_in_exact_arithmetic_warn_nothing(self, capsys):
+        # the smallest spacing is omega_img = 0.075 eV; rounding used to
+        # split two equal levels and report their ulp as the spacing
+        argv = ["simulate", "--set", "omega_eV=0.3", "--set", "n_max=2",
+                "--set", "R_nm=5", "--set", "kappa=0.001"]
+        assert main(argv) == EXIT_OK
+        assert report_dict(capsys.readouterr().out)["warnings"] == ""
 
     def test_oracle_method(self, capsys):
         code = main(["simulate", "--set", "forward_method=oracle"])
@@ -658,7 +676,7 @@ PLAIN_OVERRIDES = st.one_of(
     # a valid entry beside a bad or a repeated one
     st.tuples(
         st.sampled_from(("oracle_epsilon_values", "oracle_heights_nm")),
-        st.sampled_from(("3,-1", "1,1")),
+        st.sampled_from(("3,-1", "1,1", "2,0,1", "0.5,1e300")),
     ),
 )
 # each command with what it needs to get past its own checks; sweep

@@ -1,9 +1,10 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsnom.closedform import (
@@ -219,3 +220,47 @@ class TestPhotonReport:
                     InitialCoefficients.ground_state(),
                     height_nm=1.0, alpha=0.5, omega=1.0, kappa=1e150,
                 )
+
+
+class TestNormWithoutNumpy:
+    """``BetaCoefficients.norm`` is ``math.hypot``; numpy's norm, the
+    square root of a BLAS dot product, was the earlier value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        height_nm=st.floats(0.3, 10.0),
+        alpha=st.floats(0.0, 0.999),
+        omega=st.floats(0.05, 5.0),
+        # below sqrt((2R)^3) * omega the shift stays under half the gap
+        kappa_fraction=st.floats(0.0, 1.0),
+    )
+    def test_ground_state_amplitude_is_numpys_bit_for_bit(
+        self, height_nm, alpha, omega, kappa_fraction
+    ):
+        params = dict(
+            height_nm=height_nm,
+            alpha=alpha,
+            omega=omega,
+            kappa=kappa_fraction * math.sqrt((2 * height_nm) ** 3) * omega,
+        )
+        a = InitialCoefficients.ground_state()
+        beta = beta_coefficients(a, **params)
+        amplitude = photon_report(a, **params).amplitude
+        assert amplitude == float(np.linalg.norm(beta.as_array()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        alpha=st.floats(0.0, 0.9),
+        kappa=st.floats(0.0, 1.0),
+    )
+    def test_general_norm_within_one_ulp_of_the_exact_norm(self, raw, alpha, kappa):
+        # numpy's norm is no reference here: it lies up to two floats
+        # from the exact norm
+        size = math.sqrt(sum(x * x for x in raw))
+        assume(size > 1e-3)
+        a = InitialCoefficients(*(x / size for x in raw))
+        beta = beta_coefficients(a, height_nm=1.0, alpha=alpha, omega=1.0, kappa=kappa)
+        square = sum(Fraction(b) ** 2 for b in beta.as_array().tolist())
+        norm, ulp = Fraction(beta.norm), Fraction(math.ulp(beta.norm))
+        assert (norm - ulp) ** 2 <= square <= (norm + ulp) ** 2

@@ -1,12 +1,17 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qsnom import hamiltonian
 from qsnom.dipole import DielectricSample, TipDipole, derive_image
 from qsnom.hamiltonian import (
     N_MAX_LIMIT,
     ModelConfig,
+    _smallest_spacing,
     basis_index,
     build_delta_h,
     build_h0,
@@ -15,6 +20,17 @@ from qsnom.hamiltonian import (
     regime_warnings,
 )
 from qsnom.tensor import OperatorMatrix, eigh
+
+
+# photon energies that put levels of the free spectrum on top of each
+# other, as functions of (omega, omega_img)
+TIED_PHOTONS = {
+    "omega": lambda w, v: w,
+    "omega_img": lambda w, v: v,
+    "2 omega_img": lambda w, v: 2 * v,
+    "omega + omega_img": lambda w, v: w + v,
+    "omega / 3": lambda w, v: w / 3,
+}
 
 
 def make_parts(epsilon_d, omega=1.0, height=0.5, kappa=1.0, n_max=1):
@@ -213,40 +229,87 @@ class TestAssembledPair:
         pair = build_hamiltonian_pair(tip, sample, cfg)
         assert pair.warnings == ()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
         omega=st.floats(0.05, 5.0),
-        photon=st.one_of(st.none(), st.floats(0.05, 5.0), st.just("tip")),
-        n_max=st.one_of(st.none(), st.integers(1, 40)),
+        ground=st.sampled_from((0.0, 0.3, -7.1)),
+        photon=st.one_of(
+            st.none(), st.floats(0.05, 5.0), st.sampled_from(tuple(TIED_PHOTONS))
+        ),
+        n_max=st.one_of(st.none(), st.integers(1, 64)),
         g=st.floats(0.0, 2.0),
     )
     def test_regime_warning_matches_all_pairs_reference(
-        self, epsilon_d, omega, photon, n_max, g
+        self, epsilon_d, omega, ground, photon, n_max, g
     ):
-        """Neighbour gaps of the sorted spectrum give the same warning as
-        the smallest positive |E_i - E_j| over all pairs."""
-        tip = TipDipole(omega=omega, height_nm=1.0)
+        """The spacing is the smallest positive difference of the exact
+        levels, rounded once; photon energies that tie levels are drawn
+        on purpose."""
+        tip = TipDipole(omega=omega, height_nm=1.0, ground_energy=ground)
         image = derive_image(tip, DielectricSample(epsilon_d))
-        photon_energy = omega if photon == "tip" else photon
-        cfg = None if n_max is None else ModelConfig(n_max, photon_energy)
-        energies = np.diag(build_h0(tip, image, cfg).entries).real
-        diffs = np.abs(energies[:, None] - energies[None, :])
-        positive = diffs[diffs > 0]
-        if positive.size == 0:
-            expected = (
-                ("perturbative regime: free spectrum is fully degenerate",)
-                if g > 0
-                else ()
-            )
-        elif g > 0.1 * positive.min():
+        if photon in TIED_PHOTONS:
+            photon = TIED_PHOTONS[photon](omega, image.omega_image)
+        assume(photon is None or photon > 0)
+        cfg = None if n_max is None else ModelConfig(n_max, photon)
+        levels = 1 if cfg is None else cfg.n_max + 1
+        e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
+        exact = sorted(
+            {
+                Fraction(tip.ground_energy)
+                + Fraction(image.energies[0])
+                + i_a * Fraction(tip.omega)
+                + i_b * Fraction(image.omega_image)
+                + k * Fraction(e_photon)
+                for i_a in (0, 1)
+                for i_b in (0, 1)
+                for k in range(levels)
+            }
+        )
+        spacing = float(min(hi - lo for lo, hi in zip(exact, exact[1:])))
+        assert _smallest_spacing(tip, image, cfg) == spacing
+        expected = ()
+        if g > 0.1 * spacing:
             expected = (
                 f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
-                f"positive level spacing {positive.min():.6g} eV",
+                f"positive level spacing {spacing:.6g} eV",
             )
-        else:
-            expected = ()
         assert regime_warnings(tip, image, cfg, g) == expected
+
+    def test_levels_tied_in_exact_arithmetic_are_one_level(self):
+        # omega + omega_img and omega_img + E_ph are the same level, but
+        # the two float sums round apart by one ulp
+        _, tip, image, cfg = make_parts(3.0, omega=0.3, height=5.0, kappa=0.001, n_max=2)
+        assert image.omega_image == 0.075
+        assert _smallest_spacing(tip, image, cfg) == 0.075
+        assert regime_warnings(tip, image, cfg, 5e-7) == ()
+
+    def test_non_finite_energy_is_a_classed_error(self):
+        tip = TipDipole(omega=math.inf, height_nm=1.0)
+        finite_tip = TipDipole(omega=1.0, height_nm=1.0)
+        for args in (
+            (tip, derive_image(tip, DielectricSample(3.0)), None),
+            # alpha = 0 gives omega_img = 0 * inf = nan
+            (tip, derive_image(tip, DielectricSample(1.0)), ModelConfig()),
+            (
+                finite_tip,
+                derive_image(finite_tip, DielectricSample(3.0)),
+                ModelConfig(photon_energy=math.inf),
+            ),
+        ):
+            with pytest.raises((ValueError, ArithmeticError)):
+                regime_warnings(*args, 0.01)
+
+    def test_regime_warnings_at_the_limit_use_no_numpy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the regime check must not build the spectrum")
+
+        monkeypatch.setattr(hamiltonian, "_h0_energies", refuse)
+        _, tip, image, _ = make_parts(3.0)
+        cfg = ModelConfig(n_max=N_MAX_LIMIT)
+        # omega_img = 0.25; the tip level ties with one resonant photon
+        assert _smallest_spacing(tip, image, cfg) == 0.25
+        assert regime_warnings(tip, image, cfg, 0.026) != ()
 
     def test_regime_guard_uses_min_positive_gap(self):
         _, tip, image, cfg = make_parts(3.0)

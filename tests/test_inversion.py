@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qsnom import inversion
+from qsnom import hamiltonian, inversion
 from qsnom.dipole import DielectricSample, TipDipole
 from qsnom.errors import NoConvergenceError, OutOfBracketError, ShiftExceedsGapError
-from qsnom.hamiltonian import ModelConfig, build_hamiltonian_pair
+from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
 from qsnom.inversion import (
     SWEEP_OUTPUTS,
     ForwardResult,
@@ -117,6 +117,31 @@ class TestForward:
         assert result.g == pair.g
         extra = () if result.near_field_passed else result.warnings[-1:]
         assert result.warnings == pair.warnings + extra
+
+
+class TestClosedRouteRunsNoNumpy:
+    def test_forward_inverse_and_sweep(self, monkeypatch):
+        spec = SweepSpec(
+            axis="epsilon_d",
+            values=(1.0, 3.0, 11.7),
+            fixed={"R": 0.5, "omega": 1.0, "kappa": 1.0},
+            outputs=tuple(c for c in SWEEP_OUTPUTS if c != "delta_e_oracle_eV"),
+        )
+        rows = run_sweep(spec)
+        observed = forward(11.7, **STRONG).omega_s
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route called numpy")
+
+        monkeypatch.setattr(hamiltonian, "_h0_energies", refuse)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        result = forward(3.0, 0.5, 1.0, 1.0, n_max=N_MAX_LIMIT, photon_energy=0.3)
+        assert result.amplitude == pytest.approx(0.92, abs=1e-15)
+        assert any("perturbative regime" in w for w in result.warnings)
+        problem = InversionProblem(observed_omega_s=observed, **STRONG)
+        assert invert_permittivity(problem).epsilon_d == pytest.approx(11.7, rel=1e-12)
+        assert run_sweep(spec) == rows
+        assert [row["error"] for row in rows] == ["", "", ""]
 
 
 class TestInversion:
