@@ -22,8 +22,10 @@ sample = DielectricSample(11.7)
 image = derive_image(tip, sample)
 print(f"  tip gap energy      {tip.omega:g} eV")
 print(f"  image gap energy    {image.omega_image:.6f} eV")
-print(f"  image moment scale  {image.moment_scale_image:.6f}")
-print(f"  image level pair    {image.energies[0]:.6f}, {image.energies[1]:.6f} eV")
+# the image moment is the tip moment times alpha, and its levels are
+# counted from a ground state at zero energy
+print(f"  image moment scale  {sample.alpha:.6f}")
+print(f"  image level pair    {0.0:.6f}, {image.omega_image:.6f} eV")
 
 print()
 print("= near-field window at 1 eV (reduced wavelength 197.3 nm) =")

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__, closedform, crosscheck
 from .errors import ConfigError, QsnomError
 from .hamiltonian import N_MAX_LIMIT
@@ -212,10 +210,10 @@ def _fmt(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     return str(value)

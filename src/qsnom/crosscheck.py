@@ -140,14 +140,13 @@ def consistency_report(
     kappa: float = 0.05,
     n_max: int = 1,
     photon_energy: float | None = None,
-    initial: closedform.InitialCoefficients | None = None,
 ) -> ConsistencyReport:
     """Compare shift and coefficient routes over a tip-height sweep.
 
-    For each height the reference level is the dipole-pair ground state
-    with one photon present. The oracle route is the generic
-    second-order engine validated against exact diagonalization, run
-    once per height; the closed-form route is
+    On both routes the reference level is the dipole-pair ground state,
+    with one photon present at each height. The oracle route is the
+    generic second-order engine validated against exact diagonalization,
+    run once per height; the closed-form route is
     :func:`qsnom.closedform.energy_shift` and the first corrected
     coefficient. Exponents are least-squares slopes of
     log|shift| against log height; any engine error propagates.
@@ -155,7 +154,7 @@ def consistency_report(
     if len(heights_nm) == 0:
         raise ValueError("heights_nm must contain at least one height")
     sample = DielectricSample(epsilon_d)
-    a = initial if initial is not None else closedform.InitialCoefficients.ground_state()
+    a = closedform.InitialCoefficients.ground_state()
     cfg = ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa)
 
     rows: list[ConsistencyRow] = []

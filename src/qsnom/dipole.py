@@ -3,12 +3,13 @@
 Energies are in eV, lengths in nm, and hbar = 1 so angular frequencies
 are numerically equal to energies. The image of a two-level dipole held
 at height R above a dielectric half-space sits at depth R below the
-surface with every energy scale multiplied by the squared response
-factor of the interface.
+surface with its gap multiplied by the squared response factor of the
+interface. Levels count from a ground state at zero energy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedPermittivityError
@@ -26,6 +27,14 @@ __all__ = [
 HBAR_C_EV_NM = 197.3269804
 
 
+def _positive_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive (nan is not) and finite."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DielectricSample:
     """Half-space sample characterized by a real relative permittivity."""
@@ -38,6 +47,8 @@ class DielectricSample:
             raise UnsupportedPermittivityError(
                 f"epsilon_d must be >= 1, got {eps!r}"
             )
+        if eps == math.inf:
+            raise UnsupportedPermittivityError(f"epsilon_d must be finite, got {eps!r}")
         object.__setattr__(self, "epsilon_d", eps)
 
     @property
@@ -52,18 +63,10 @@ class TipDipole:
 
     omega: float
     height_nm: float
-    moment_scale: float = 1.0
-    ground_energy: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if not self.height_nm > 0:
-            raise ValueError(f"height_nm must be positive, got {self.height_nm!r}")
-        if not self.moment_scale > 0:
-            raise ValueError(
-                f"moment_scale must be positive, got {self.moment_scale!r}"
-            )
+        for name in ("omega", "height_nm"):
+            _positive_finite(name, getattr(self, name))
 
     @property
     def separation(self) -> float:
@@ -75,13 +78,11 @@ class TipDipole:
 class ImageDipole:
     """Image of the tip dipole inside the sample.
 
-    ``energies`` holds the image levels (ground, excited); the gap
-    between them is ``omega_image``.
+    Its levels are 0 and ``omega_image``; its moment, the tip's times
+    alpha, enters through the coupling.
     """
 
     omega_image: float
-    moment_scale_image: float
-    energies: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,10 @@ class NearFieldReport:
 def derive_image(tip: TipDipole, sample: DielectricSample) -> ImageDipole:
     """Build the image dipole induced by ``tip`` above ``sample``.
 
-    Image energies are the tip energies scaled by alpha squared; the
-    image transition moment is the tip moment scaled by alpha.
+    The image gap is the tip gap scaled by alpha squared.
     """
     a = sample.alpha
-    e_ground = a * a * tip.ground_energy
-    e_excited = a * a * (tip.ground_energy + tip.omega)
-    return ImageDipole(
-        omega_image=a * a * tip.omega,
-        moment_scale_image=a * tip.moment_scale,
-        energies=(e_ground, e_excited),
-    )
+    return ImageDipole(omega_image=a * a * tip.omega)
 
 
 def near_field_check(

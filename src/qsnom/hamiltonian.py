@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DielectricSample, ImageDipole, TipDipole, derive_image
+from .dipole import (
+    DielectricSample,
+    ImageDipole,
+    TipDipole,
+    _positive_finite,
+    derive_image,
+)
 from .tensor import OperatorMatrix
 
 __all__ = [
@@ -55,12 +61,9 @@ class ModelConfig:
                 f"n_max must be an integer in 1..{N_MAX_LIMIT}, got {self.n_max!r}"
             )
         object.__setattr__(self, "n_max", int(self.n_max))
-        if self.photon_energy is not None and not self.photon_energy > 0:
-            raise ValueError(
-                f"photon_energy must be positive, got {self.photon_energy!r}"
-            )
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        if self.photon_energy is not None:
+            _positive_finite("photon_energy", self.photon_energy)
+        _positive_finite("kappa", self.kappa)
 
     def resolved_photon_energy(self, tip: TipDipole) -> float:
         return tip.omega if self.photon_energy is None else self.photon_energy
@@ -102,14 +105,7 @@ def _h0_energies(
     levels = 1 if cfg is None else cfg.n_max + 1
     e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
     pairs = np.array(
-        [
-            tip.ground_energy
-            + i_a * tip.omega
-            + image.energies[0]
-            + i_b * image.omega_image
-            for i_a in (0, 1)
-            for i_b in (0, 1)
-        ]
+        [i_a * tip.omega + i_b * image.omega_image for i_a in (0, 1) for i_b in (0, 1)]
     )
     return (pairs[:, None] + np.arange(levels) * e_photon).ravel()
 

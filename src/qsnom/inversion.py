@@ -20,7 +20,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import closedform
-from .dipole import DielectricSample, TipDipole, derive_image, near_field_check
+from .dipole import (
+    DielectricSample,
+    TipDipole,
+    _positive_finite,
+    derive_image,
+    near_field_check,
+)
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
 from .hamiltonian import (
     ModelConfig,
@@ -105,8 +111,9 @@ class InversionProblem:
             raise ValueError(
                 f"bracket must satisfy 1 < lo < hi, got ({lo!r}, {hi!r})"
             )
-        if not self.tol_rel > 0:
-            raise ValueError(f"tol_rel must be positive, got {self.tol_rel!r}")
+        if hi == math.inf:
+            raise ValueError(f"bracket must be finite, got ({lo!r}, {hi!r})")
+        _positive_finite("tol_rel", self.tol_rel)
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise ValueError(
                 f"max_iter must be an integer >= 1, got {self.max_iter!r}"
@@ -114,10 +121,7 @@ class InversionProblem:
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.method not in ("closed", "oracle"):
             raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
-        if not self.observed_omega_s > 0:
-            raise ValueError(
-                f"observed_omega_s must be positive, got {self.observed_omega_s!r}"
-            )
+        _positive_finite("observed_omega_s", self.observed_omega_s)
 
 
 @dataclass(frozen=True)

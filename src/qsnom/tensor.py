@@ -23,6 +23,9 @@ from .errors import (
 )
 
 __all__ = [
+    "HERMITIAN_TOL",
+    "NORM_TOL",
+    "OUTER_NORM_TOL",
     "StateVector",
     "OperatorMatrix",
     "kron",
@@ -31,6 +34,10 @@ __all__ = [
     "outer",
     "identity",
 ]
+
+HERMITIAN_TOL = 1e-12  # largest max|M - M^dag| / max|M| of a Hermitian M
+NORM_TOL = 1e-12  # largest |<psi|psi> - 1| that StateVector.is_normalized accepts
+OUTER_NORM_TOL = 1e-9  # largest |<psi|psi> - 1| that outer accepts
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -74,8 +81,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm**2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm**2 - 1.0) <= NORM_TOL
 
 
 class OperatorMatrix:
@@ -211,10 +218,10 @@ class OperatorMatrix:
         dev = float(np.abs(self.values - mirror.conj()).max())
         return dev, float(np.abs(self.values).max())
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Whether ``max|M - M^dag| <= tol * max|M|`` (an all-zero ``M`` is)."""
+    def is_hermitian(self) -> bool:
+        """Whether ``max|M - M^dag| <= HERMITIAN_TOL * max|M|`` (a zero ``M`` is)."""
         dev, scale = self._hermitian_deviation()
-        return dev <= tol * scale
+        return dev <= HERMITIAN_TOL * scale
 
 
 def identity(dims: Sequence[int]) -> OperatorMatrix:
@@ -228,7 +235,7 @@ def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 
-def eigh(m: OperatorMatrix, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator, as ``np.linalg.eigh``.
 
     Returns the eigenvalues, real and ascending, and the eigenvectors,
@@ -237,13 +244,13 @@ def eigh(m: OperatorMatrix, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]
     Raises
     ------
     NotHermitianError
-        If ``max|M - M^dag|`` exceeds ``tol * max|M|``.
+        If ``max|M - M^dag|`` exceeds ``HERMITIAN_TOL * max|M|``.
     """
     dev, scale = m._hermitian_deviation()
-    if not dev <= tol * scale:
+    if not dev <= HERMITIAN_TOL * scale:
         raise NotHermitianError(
             f"operator deviates from Hermiticity by {dev:.3e}"
-            f" (tolerance {tol:g} relative)"
+            f" (tolerance {HERMITIAN_TOL:g} relative)"
         )
     return np.linalg.eigh(m.entries)
 
@@ -292,17 +299,17 @@ def partial_trace(rho: OperatorMatrix, keep: Iterable[int]) -> OperatorMatrix:
     return OperatorMatrix(reduced_dims, reduced)
 
 
-def outer(psi: StateVector, tol: float = 1e-9) -> OperatorMatrix:
+def outer(psi: StateVector) -> OperatorMatrix:
     """Projector ``|psi><psi|`` of a normalized state.
 
     Raises
     ------
     NotNormalizedError
-        If the squared norm deviates from 1 by more than ``tol``.
+        If the squared norm deviates from 1 by more than ``OUTER_NORM_TOL``.
     """
     sq = psi.norm**2
-    if abs(sq - 1.0) > tol:
+    if abs(sq - 1.0) > OUTER_NORM_TOL:
         raise NotNormalizedError(
-            f"state squared norm {sq!r} deviates from 1 beyond {tol:g}"
+            f"state squared norm {sq!r} deviates from 1 beyond {OUTER_NORM_TOL:g}"
         )
     return OperatorMatrix(psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))

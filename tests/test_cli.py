@@ -7,7 +7,6 @@ import tempfile
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -599,42 +598,6 @@ class TestOracleCheck:
         assert "Traceback" not in err
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert rows and all(row["error"].startswith(error) for row in rows)
-
-
-
-GOLDEN = Path(__file__).resolve().parent / "data"
-GOLDEN_EPSILONS = "1,1.5,3,11.7,50,10000"
-
-
-class TestOracleCheckGolden:
-    """``oracle-check`` tables and sidecars match files written by the
-    earlier implementation, which built every operator as a dense matrix.
-
-    One file pair per register size, coupling and photon energy; each
-    table covers six permittivities from vacuum to near-metallic.
-    """
-
-    @pytest.mark.parametrize("n_max", [1, 8, 32, 128])
-    @pytest.mark.parametrize("kappa", ["0.05", "1"])
-    @pytest.mark.parametrize("photon", [None, "0.3"])
-    def test_bytes_match(self, tmp_path, capsys, n_max, kappa, photon):
-        photon_tag = f"pe{photon}" if photon else "resonant"
-        name = f"oracle_check_n{n_max}_k{kappa}_{photon_tag}"
-        argv = [
-            "oracle-check",
-            "--set", f"oracle_epsilon_values={GOLDEN_EPSILONS}",
-            "--set", f"n_max={n_max}",
-            "--set", f"kappa={kappa}",
-        ]
-        if photon:
-            argv += ["--set", f"photon_energy_eV={photon}"]
-        out = tmp_path / f"{name}.csv"
-        assert main(argv + ["--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr() == ("", "")
-        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-        assert (tmp_path / f"{name}.meta").read_bytes() == (
-            GOLDEN / f"{name}.meta"
-        ).read_bytes()
 
 
 FLOAT_KEYS = (

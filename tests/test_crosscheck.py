@@ -122,6 +122,10 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="height"):
             consistency_report(3.0, (1.0, -2.0))
 
+    def test_infinite_height_rejected(self):
+        with pytest.raises(ValueError, match="^height_nm must be finite, got inf$"):
+            consistency_report(3.0, (1.0, math.inf))
+
     def test_exponent_fit_tracks_pure_power_law(self):
         # closed-form shift is exactly cubic in 1/(2R): random heights fit -3
         rng = np.random.default_rng(7)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,17 @@ class TestSampleResponse:
             with pytest.raises(UnsupportedPermittivityError):
                 DielectricSample(eps)
 
+    def test_rejects_infinite_permittivity(self):
+        with pytest.raises(
+            UnsupportedPermittivityError, match=r"^epsilon_d must be finite, got inf$"
+        ):
+            DielectricSample(math.inf)
+        # the messages that reach CSV error cells stay as they were
+        for eps, text in ((math.nan, "nan"), (-math.inf, "-inf"), (0.5, "0.5")):
+            with pytest.raises(UnsupportedPermittivityError) as info:
+                DielectricSample(eps)
+            assert str(info.value) == f"epsilon_d must be >= 1, got {text}"
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=1.0, max_value=1e6),
@@ -46,33 +60,39 @@ class TestSampleResponse:
 
 class TestImageDerivation:
     def test_energy_scaling(self):
-        tip = TipDipole(omega=2.0, height_nm=1.0, ground_energy=0.5)
+        tip = TipDipole(omega=2.0, height_nm=1.0)
         image = derive_image(tip, DielectricSample(3.0))
         assert image.omega_image == pytest.approx(0.25 * 2.0, abs=1e-15)
-        assert image.energies[0] == pytest.approx(0.25 * 0.5, abs=1e-15)
-        assert image.energies[1] == pytest.approx(0.25 * 2.5, abs=1e-15)
-        assert image.moment_scale_image == pytest.approx(0.5, abs=1e-15)
+        assert [f.name for f in dataclasses.fields(image)] == ["omega_image"]
 
     def test_vacuum_image_is_dark(self):
         tip = TipDipole(omega=1.0, height_nm=1.0)
         image = derive_image(tip, DielectricSample(1.0))
         assert image.omega_image == 0.0
-        assert image.moment_scale_image == 0.0
 
     def test_gap_consistency(self):
-        tip = TipDipole(omega=1.3, height_nm=0.7, ground_energy=0.2)
-        image = derive_image(tip, DielectricSample(5.0))
-        assert image.energies[1] - image.energies[0] == pytest.approx(
-            image.omega_image, abs=1e-15
-        )
+        tip = TipDipole(omega=1.3, height_nm=0.7)
+        sample = DielectricSample(5.0)
+        image = derive_image(tip, sample)
+        assert image.omega_image == sample.alpha * sample.alpha * tip.omega
+        assert 0.0 < image.omega_image < tip.omega
 
     def test_tip_validation(self):
         with pytest.raises(ValueError, match="omega"):
             TipDipole(omega=0.0, height_nm=1.0)
         with pytest.raises(ValueError, match="height_nm"):
             TipDipole(omega=1.0, height_nm=-1.0)
-        with pytest.raises(ValueError, match="moment_scale"):
-            TipDipole(omega=1.0, height_nm=1.0, moment_scale=0.0)
+
+    @pytest.mark.parametrize("name", ["omega", "height_nm"])
+    def test_tip_rejects_infinite_values(self, name):
+        values = {"omega": 1.0, "height_nm": 1.0, name: math.inf}
+        with pytest.raises(ValueError) as info:
+            TipDipole(**values)
+        assert str(info.value) == f"{name} must be finite, got inf"
+        for bad in (0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError) as info:
+                TipDipole(**dict(values, **{name: bad}))
+            assert str(info.value) == f"{name} must be positive, got {bad!r}"
 
 
 class TestNearFieldCheck:

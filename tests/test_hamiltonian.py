@@ -94,18 +94,6 @@ class TestFreeHamiltonian:
                         expected, abs=1e-15
                     )
 
-    def test_ground_energy_offsets_all_levels(self):
-        sample = DielectricSample(3.0)
-        tip = TipDipole(omega=1.0, height_nm=0.5, ground_energy=0.3)
-        image = derive_image(tip, sample)
-        h0 = build_h0(tip, image, None)
-        base = 0.3 + image.energies[0]
-        np.testing.assert_allclose(
-            np.diag(h0.entries).real,
-            [base, base + 0.25, base + 1.0, base + 1.25],
-            atol=1e-15,
-        )
-
     def test_photon_register_size(self):
         _, tip, image, _ = make_parts(3.0)
         cfg = ModelConfig(n_max=3)
@@ -120,8 +108,7 @@ class TestFreeHamiltonian:
         cfg = ModelConfig(n_max=60, photon_energy=photon_energy)
         e_photon = cfg.resolved_photon_energy(tip)
         expected = [
-            tip.ground_energy + i_a * tip.omega + image.energies[0]
-            + i_b * image.omega_image + n * e_photon
+            i_a * tip.omega + i_b * image.omega_image + n * e_photon
             for i_a in (0, 1)
             for i_b in (0, 1)
             for n in range(61)
@@ -233,7 +220,6 @@ class TestAssembledPair:
     @given(
         epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
         omega=st.floats(0.05, 5.0),
-        ground=st.sampled_from((0.0, 0.3, -7.1)),
         photon=st.one_of(
             st.none(), st.floats(0.05, 5.0), st.sampled_from(tuple(TIED_PHOTONS))
         ),
@@ -241,12 +227,12 @@ class TestAssembledPair:
         g=st.floats(0.0, 2.0),
     )
     def test_regime_warning_matches_all_pairs_reference(
-        self, epsilon_d, omega, ground, photon, n_max, g
+        self, epsilon_d, omega, photon, n_max, g
     ):
         """The spacing is the smallest positive difference of the exact
         levels, rounded once; photon energies that tie levels are drawn
         on purpose."""
-        tip = TipDipole(omega=omega, height_nm=1.0, ground_energy=ground)
+        tip = TipDipole(omega=omega, height_nm=1.0)
         image = derive_image(tip, DielectricSample(epsilon_d))
         if photon in TIED_PHOTONS:
             photon = TIED_PHOTONS[photon](omega, image.omega_image)
@@ -256,9 +242,7 @@ class TestAssembledPair:
         e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
         exact = sorted(
             {
-                Fraction(tip.ground_energy)
-                + Fraction(image.energies[0])
-                + i_a * Fraction(tip.omega)
+                i_a * Fraction(tip.omega)
                 + i_b * Fraction(image.omega_image)
                 + k * Fraction(e_photon)
                 for i_a in (0, 1)
@@ -285,20 +269,14 @@ class TestAssembledPair:
         assert regime_warnings(tip, image, cfg, 5e-7) == ()
 
     def test_non_finite_energy_is_a_classed_error(self):
-        tip = TipDipole(omega=math.inf, height_nm=1.0)
-        finite_tip = TipDipole(omega=1.0, height_nm=1.0)
-        for args in (
-            (tip, derive_image(tip, DielectricSample(3.0)), None),
-            # alpha = 0 gives omega_img = 0 * inf = nan
-            (tip, derive_image(tip, DielectricSample(1.0)), ModelConfig()),
-            (
-                finite_tip,
-                derive_image(finite_tip, DielectricSample(3.0)),
-                ModelConfig(photon_energy=math.inf),
-            ),
-        ):
-            with pytest.raises((ValueError, ArithmeticError)):
-                regime_warnings(*args, 0.01)
+        # an infinite energy is rejected where it enters, by TipDipole or
+        # ModelConfig, before the regime check can see it
+        tip = TipDipole(omega=1.0, height_nm=1.0)
+        image = derive_image(tip, DielectricSample(3.0))
+        with pytest.raises(ValueError, match="omega"):
+            TipDipole(omega=math.inf, height_nm=1.0)
+        with pytest.raises(ValueError, match="photon_energy"):
+            regime_warnings(tip, image, ModelConfig(photon_energy=math.inf), 0.01)
 
     def test_regime_warnings_at_the_limit_use_no_numpy(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -326,6 +304,16 @@ class TestModelConfig:
             ModelConfig(photon_energy=-1.0)
         with pytest.raises(ValueError, match="kappa"):
             ModelConfig(kappa=0.0)
+
+    @pytest.mark.parametrize("name", ["kappa", "photon_energy"])
+    def test_rejects_infinite_values(self, name):
+        with pytest.raises(ValueError) as info:
+            ModelConfig(**{name: math.inf})
+        assert str(info.value) == f"{name} must be finite, got inf"
+        for bad in (0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError) as info:
+                ModelConfig(**{name: bad})
+            assert str(info.value) == f"{name} must be positive, got {bad!r}"
 
     def test_n_max_ceiling(self):
         assert ModelConfig(n_max=N_MAX_LIMIT).n_max == N_MAX_LIMIT

@@ -9,7 +9,12 @@ from scipy.optimize import brentq
 
 from qsnom import hamiltonian, inversion
 from qsnom.dipole import DielectricSample, TipDipole
-from qsnom.errors import NoConvergenceError, OutOfBracketError, ShiftExceedsGapError
+from qsnom.errors import (
+    NoConvergenceError,
+    OutOfBracketError,
+    ShiftExceedsGapError,
+    UnsupportedPermittivityError,
+)
 from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
 from qsnom.inversion import (
     SWEEP_OUTPUTS,
@@ -212,6 +217,69 @@ class TestInversion:
             InversionProblem(observed_omega_s=-0.8, **STRONG)
 
 
+class TestNonFiniteInputs:
+    """An infinite input is rejected by the value object that holds it."""
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("epsilon_d", UnsupportedPermittivityError),
+            ("height_nm", ValueError),
+            ("omega", ValueError),
+            ("kappa", ValueError),
+            ("photon_energy", ValueError),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_forward(self, name, error, method):
+        point = dict(epsilon_d=3.0, height_nm=1.0, omega=1.0, kappa=0.05, method=method)
+        with pytest.raises(error, match=f"^{name} must be finite, got inf$"):
+            forward(**dict(point, **{name: math.inf}))
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"tol_rel": math.inf}, "tol_rel"),
+            ({"observed_omega_s": math.inf}, "observed_omega_s"),
+        ],
+    )
+    def test_inversion_problem(self, changes, name):
+        good = dict(observed_omega_s=1.5, height_nm=1.0, omega=1.0, kappa=0.05)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            InversionProblem(**dict(good, **changes))
+
+    def test_bracket(self):
+        with pytest.raises(
+            ValueError, match=r"^bracket must be finite, got \(2\.0, inf\)$"
+        ):
+            InversionProblem(0.9, 1.0, 1.0, 0.05, bracket=(2.0, math.inf))
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_infinite_tolerance_returns_no_permittivity(self, method):
+        # 1.5 lies above the bare gap, so no permittivity emits it
+        with pytest.raises(ValueError, match="tol_rel"):
+            invert_permittivity(
+                InversionProblem(1.5, 1.0, 1.0, 0.05, tol_rel=math.inf, method=method)
+            )
+        with pytest.raises(OutOfBracketError):
+            invert_permittivity(InversionProblem(1.5, 1.0, 1.0, 0.05, method=method))
+
+    def test_existing_messages_unchanged(self):
+        good = dict(observed_omega_s=0.9, height_nm=1.0, omega=1.0, kappa=0.05)
+        for changes, text in (
+            ({"tol_rel": math.nan}, "tol_rel must be positive, got nan"),
+            ({"tol_rel": -math.inf}, "tol_rel must be positive, got -inf"),
+            ({"observed_omega_s": 0.0}, "observed_omega_s must be positive, got 0.0"),
+            (
+                {"bracket": (math.inf, math.inf)},
+                "bracket must satisfy 1 < lo < hi, got (inf, inf)",
+            ),
+        ):
+            with pytest.raises(ValueError) as info:
+                InversionProblem(**dict(good, **changes))
+            assert str(info.value) == text
+
+
 class TestBandFloorAtTheGap:
     """At R = 0.3 nm and kappa = 1 the shift reaches the gap inside the bracket."""
 
@@ -375,7 +443,7 @@ class TestClosedInverseMatchesRootSearch:
         else:
             assert result.residual < problem.tol_rel * omega
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["height_nm", "omega", "kappa"])
     def test_invalid_geometry_raises_what_forward_raises(self, name, bad):
         geometry = dict(STRONG, **{name: bad})

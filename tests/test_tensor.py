@@ -11,6 +11,7 @@ from qsnom.errors import (
     NotNormalizedError,
 )
 from qsnom.tensor import (
+    HERMITIAN_TOL,
     OperatorMatrix,
     StateVector,
     eigh,
@@ -146,11 +147,11 @@ class TestIsHermitian:
         nudge=st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, 1e6]),
         special=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, 1.0)]),
         mirrored=st.booleans(),
-        tol=st.sampled_from([1e-12, 1e-6]),
     )
     def test_agrees_with_dense_reference(
-        self, side, seed, density, nudge, special, mirrored, tol
+        self, side, seed, density, nudge, special, mirrored
     ):
+        tol = HERMITIAN_TOL
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
         raw *= rng.random((side, side)) < density
@@ -166,7 +167,7 @@ class TestIsHermitian:
                 m[c, r] = np.conj(special)
         with np.errstate(invalid="ignore", over="ignore"):
             expected = dense_is_hermitian(m, tol)
-            assert OperatorMatrix((side,), m).is_hermitian(tol) is expected
+            assert OperatorMatrix((side,), m).is_hermitian() is expected
 
     @pytest.mark.parametrize(
         "entries, expected",

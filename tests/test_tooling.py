@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import re
 from pathlib import Path
@@ -83,23 +84,73 @@ def _benchmark_references() -> set[str]:
     return names
 
 
-def _resolves(name: str) -> bool:
+def _resolve(name: str) -> object | None:
+    """The object a dotted ``qsnom.`` name reads, or ``None`` if it lacks one."""
     obj = qsnom
     for part in name.split(".")[1:]:
         if not hasattr(obj, part):
             try:
                 importlib.import_module(f"{obj.__name__}.{part}")
             except (ImportError, AttributeError):
-                return False
+                return None
         obj = getattr(obj, part)
-    return True
+    return obj
 
 
 def test_every_name_the_benchmark_reads_resolves():
     # a name the benchmark reads and the package lacks fails the whole run
     names = _benchmark_references()
     assert {"qsnom.SweepSpec", "qsnom.run_sweep", "qsnom.basis_index"} <= names
-    assert sorted(n for n in names if not _resolves(n)) == []
+    assert sorted(n for n in names if _resolve(n) is None) == []
+
+
+def _benchmark_calls() -> list[tuple[str, int, list[str]]]:
+    """``(dotted name, positional count, keywords)`` of each call the
+    benchmark makes into qsnom.
+
+    A name imported from qsnom is expanded to its dotted form. A starred
+    argument or a ``**`` mapping is left out: only what is written out
+    can be checked.
+    """
+    calls = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsnom")
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and _dotted(node.func)
+            if not name:
+                continue
+            head, dot, rest = name.partition(".")
+            name = imported.get(head, head) + dot + rest
+            if name.startswith("qsnom."):
+                positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+                keywords = [k.arg for k in node.keywords if k.arg is not None]
+                calls.append((name, positional, keywords))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # a parameter the benchmark passes and the package lacks fails the run
+    calls = _benchmark_calls()
+    assert {
+        "qsnom.TipDipole",
+        "qsnom.InversionProblem",
+        "qsnom.SweepSpec.from_range",
+        "qsnom.closedform.photon_report",
+    } <= {name for name, _, _ in calls}
+    unbound = []
+    for name, positional, keywords in calls:
+        signature = inspect.signature(_resolve(name))
+        try:
+            signature.bind_partial(*range(positional), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    assert unbound == []
 
 
 def test_package_exports_the_documented_names():
