@@ -25,19 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMatchingError, DegenerateGapError, NotHermitianError
-from .tensor import HERMITIAN_TOL, OperatorMatrix, eigh
+from .tensor import _HERMITIAN_TOL, OperatorMatrix, eigh
 
 __all__ = [
-    "DEGENERACY_TOL_SCALE",
-    "OVERLAP_THRESHOLD",
     "PerturbationResult",
     "ExactComparison",
     "rs_pt2",
     "validate_against_exact",
 ]
 
-DEGENERACY_TOL_SCALE = 1e-12  # coupled gaps within this * max|H0| are degenerate
-OVERLAP_THRESHOLD = 0.5  # least squared overlap that pairs an exact level
+_DEGENERACY_TOL_SCALE = 1e-12  # coupled gaps within this * max|H0| are degenerate
+_OVERLAP_THRESHOLD = 0.5  # least squared overlap that pairs an exact level
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def _check_inputs(
     if (h0.rows != h0.cols).any() or not np.isfinite(diag).all():
         raise ValueError("h0 must be diagonal (engine works in its eigenbasis)")
     # OperatorMatrix.is_hermitian() for a diagonal matrix
-    if not 2 * np.abs(diag.imag).max() <= HERMITIAN_TOL * np.abs(diag).max():
+    if not 2 * np.abs(diag.imag).max() <= _HERMITIAN_TOL * np.abs(diag).max():
         raise NotHermitianError("h0 diagonal must be real")
     if not v.is_hermitian():
         raise NotHermitianError("perturbation v must be Hermitian")
@@ -115,14 +113,14 @@ def rs_pt2(
     Raises
     ------
     DegenerateGapError
-        If a coupled level sits within ``DEGENERACY_TOL_SCALE * max|H0|``
-        of the reference level.
+        If a coupled level sits within ``1e-12 * max|H0|`` of the
+        reference level.
     """
     diag = _check_inputs(h0, v, state_index)
     energies = diag.real
     n = state_index
     in_column = v.cols == n
-    tol_deg = DEGENERACY_TOL_SCALE * float(np.abs(diag).max())
+    tol_deg = _DEGENERACY_TOL_SCALE * float(np.abs(diag).max())
 
     e1 = 0.0
     gaps: list[tuple[int, float]] = []
@@ -196,9 +194,9 @@ def validate_against_exact(
     states are exactly zero and its eigenpairs are exact eigenpairs of
     ``H0 + V``. The exact level is the block eigenvector with the
     largest squared overlap against the reference basis state; the match
-    must reach ``OVERLAP_THRESHOLD`` or the pairing is ambiguous. The
-    residual is ``|exact - (e0 + e1 + e2)|``; it shrinks like the fourth
-    power of the coupling in the perturbative regime. The second-order
+    must reach 0.5 or the pairing is ambiguous. The residual is
+    ``|exact - (e0 + e1 + e2)|``; it shrinks like the fourth power of
+    the coupling in the perturbative regime. The second-order
     result is returned as ``pt2``, so callers need not run the engine
     again.
     """
@@ -216,10 +214,10 @@ def validate_against_exact(
     local = int(np.searchsorted(block, state_index))
     weights = np.abs(vectors[local, :]) ** 2
     best = int(np.argmax(weights))
-    if weights[best] < OVERLAP_THRESHOLD:
+    if weights[best] < _OVERLAP_THRESHOLD:
         raise AmbiguousMatchingError(
             f"largest overlap {weights[best]:.3f} with basis state"
-            f" {state_index} is below threshold {OVERLAP_THRESHOLD}"
+            f" {state_index} is below threshold {_OVERLAP_THRESHOLD}"
         )
     exact = float(values[best])
     pt2 = result.e0 + result.e1 + result.e2

@@ -23,9 +23,6 @@ from .errors import (
 )
 
 __all__ = [
-    "HERMITIAN_TOL",
-    "NORM_TOL",
-    "OUTER_NORM_TOL",
     "StateVector",
     "OperatorMatrix",
     "kron",
@@ -35,9 +32,9 @@ __all__ = [
     "identity",
 ]
 
-HERMITIAN_TOL = 1e-12  # largest max|M - M^dag| / max|M| of a Hermitian M
-NORM_TOL = 1e-12  # largest |<psi|psi> - 1| that StateVector.is_normalized accepts
-OUTER_NORM_TOL = 1e-9  # largest |<psi|psi> - 1| that outer accepts
+_HERMITIAN_TOL = 1e-12  # largest max|M - M^dag| / max|M| of a Hermitian M
+_NORM_TOL = 1e-12  # largest |<psi|psi> - 1| that StateVector.is_normalized accepts
+_OUTER_NORM_TOL = 1e-9  # largest |<psi|psi> - 1| that outer accepts
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -82,7 +79,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def is_normalized(self) -> bool:
-        return abs(self.norm**2 - 1.0) <= NORM_TOL
+        return abs(self.norm**2 - 1.0) <= _NORM_TOL
 
 
 class OperatorMatrix:
@@ -219,9 +216,9 @@ class OperatorMatrix:
         return dev, float(np.abs(self.values).max())
 
     def is_hermitian(self) -> bool:
-        """Whether ``max|M - M^dag| <= HERMITIAN_TOL * max|M|`` (a zero ``M`` is)."""
+        """Whether ``max|M - M^dag| <= 1e-12 * max|M|`` (a zero ``M`` is)."""
         dev, scale = self._hermitian_deviation()
-        return dev <= HERMITIAN_TOL * scale
+        return dev <= _HERMITIAN_TOL * scale
 
 
 def identity(dims: Sequence[int]) -> OperatorMatrix:
@@ -244,13 +241,13 @@ def eigh(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NotHermitianError
-        If ``max|M - M^dag|`` exceeds ``HERMITIAN_TOL * max|M|``.
+        If ``max|M - M^dag|`` exceeds ``1e-12 * max|M|``.
     """
     dev, scale = m._hermitian_deviation()
-    if not dev <= HERMITIAN_TOL * scale:
+    if not dev <= _HERMITIAN_TOL * scale:
         raise NotHermitianError(
             f"operator deviates from Hermiticity by {dev:.3e}"
-            f" (tolerance {HERMITIAN_TOL:g} relative)"
+            f" (tolerance {_HERMITIAN_TOL:g} relative)"
         )
     return np.linalg.eigh(m.entries)
 
@@ -305,11 +302,11 @@ def outer(psi: StateVector) -> OperatorMatrix:
     Raises
     ------
     NotNormalizedError
-        If the squared norm deviates from 1 by more than ``OUTER_NORM_TOL``.
+        If the squared norm deviates from 1 by more than ``1e-9``.
     """
     sq = psi.norm**2
-    if abs(sq - 1.0) > OUTER_NORM_TOL:
+    if abs(sq - 1.0) > _OUTER_NORM_TOL:
         raise NotNormalizedError(
-            f"state squared norm {sq!r} deviates from 1 beyond {OUTER_NORM_TOL:g}"
+            f"state squared norm {sq!r} deviates from 1 beyond {_OUTER_NORM_TOL:g}"
         )
     return OperatorMatrix(psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsnom import hamiltonian
-from qsnom.dipole import DielectricSample, TipDipole, derive_image
+from qsnom.dipole import DielectricSample, ImageDipole, TipDipole, derive_image
 from qsnom.hamiltonian import (
     N_MAX_LIMIT,
     ModelConfig,
@@ -269,14 +269,19 @@ class TestAssembledPair:
         assert regime_warnings(tip, image, cfg, 5e-7) == ()
 
     def test_non_finite_energy_is_a_classed_error(self):
-        # an infinite energy is rejected where it enters, by TipDipole or
-        # ModelConfig, before the regime check can see it
-        tip = TipDipole(omega=1.0, height_nm=1.0)
-        image = derive_image(tip, DielectricSample(3.0))
+        # an infinite tip gap or photon energy is rejected where it enters
         with pytest.raises(ValueError, match="omega"):
             TipDipole(omega=math.inf, height_nm=1.0)
         with pytest.raises(ValueError, match="photon_energy"):
-            regime_warnings(tip, image, ModelConfig(photon_energy=math.inf), 0.01)
+            ModelConfig(photon_energy=math.inf)
+        # ImageDipole checks nothing, so the regime check still meets
+        # non-finite image gaps (nan is the alpha = 0 of an infinite gap)
+        tip = TipDipole(omega=1.0, height_nm=1.0)
+        for omega_image in (math.inf, math.nan):
+            image = ImageDipole(omega_image=omega_image)
+            for cfg in (None, ModelConfig()):
+                with pytest.raises((ValueError, ArithmeticError)):
+                    regime_warnings(tip, image, cfg, 0.01)
 
     def test_regime_warnings_at_the_limit_use_no_numpy(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -11,7 +11,7 @@ from qsnom.errors import (
     NotNormalizedError,
 )
 from qsnom.tensor import (
-    HERMITIAN_TOL,
+    _HERMITIAN_TOL,
     OperatorMatrix,
     StateVector,
     eigh,
@@ -151,7 +151,7 @@ class TestIsHermitian:
     def test_agrees_with_dense_reference(
         self, side, seed, density, nudge, special, mirrored
     ):
-        tol = HERMITIAN_TOL
+        tol = _HERMITIAN_TOL
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
         raw *= rng.random((side, side)) < density
