@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dipole import _positive_finite
 from .errors import (
     DegenerateDenominatorError,
     NotNormalizedError,
@@ -105,15 +106,13 @@ class ScatteredPhotonReport:
     omega_s: float
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_inputs(height_nm: float, alpha: float, omega: float, kappa: float) -> None:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-
-
-def _common_prefactor(height_nm: float, alpha: float, kappa: float) -> float:
-    if not height_nm > 0:
-        raise ValueError(f"height_nm must be positive, got {height_nm!r}")
-    return (kappa * alpha) ** 2 / (2.0 * (2.0 * height_nm) ** 3)
+    _positive_finite("omega", omega)
+    _positive_finite("height_nm", height_nm)
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
 
 
 def beta_coefficients(
@@ -136,16 +135,14 @@ def beta_coefficients(
     DegenerateDenominatorError
         If ``|1 - alpha^2| < 1e-9`` while a mixed amplitude is nonzero.
     """
-    _check_alpha(alpha)
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    _check_inputs(height_nm, alpha, omega, kappa)
     mixed_gap = 1.0 - alpha * alpha
     if abs(mixed_gap) < DENOMINATOR_TOL and (a.a2 != 0 or a.a4 != 0):
         raise DegenerateDenominatorError(
             f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
             f" nonzero mixed amplitudes (a2={a.a2!r}, a4={a.a4!r})"
         )
-    pref = _common_prefactor(height_nm, alpha, kappa)
+    pref = (kappa * alpha) ** 2 / (2.0 * (2.0 * height_nm) ** 3)
     d_sum = (omega * (1.0 + alpha * alpha)) ** 2
     d_diff = (omega * mixed_gap) ** 2
     return BetaCoefficients(
@@ -190,11 +187,7 @@ def energy_shift(
     squared gap. ``crosscheck.consistency_report`` measures the gap
     between the two routes instead of reconciling them.
     """
-    _check_alpha(alpha)
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if not height_nm > 0:
-        raise ValueError(f"height_nm must be positive, got {height_nm!r}")
+    _check_inputs(height_nm, alpha, omega, kappa)
     shift = -(a1**2) * (kappa * alpha) ** 2 / (
         (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
     )
@@ -210,8 +203,7 @@ def scattered_frequency(omega: float, delta_e: float) -> float:
         If the shift magnitude reaches the bare gap, which would drive
         the emitted frequency to zero or below.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    _positive_finite("omega", omega)
     shift = abs(delta_e)
     if shift >= omega:
         raise ShiftExceedsGapError(

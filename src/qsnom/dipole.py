@@ -79,10 +79,16 @@ class ImageDipole:
     """Image of the tip dipole inside the sample.
 
     Its levels are 0 and ``omega_image``; its moment, the tip's times
-    alpha, enters through the coupling.
+    alpha, enters through the coupling. A gap of 0 is the vacuum image.
     """
 
     omega_image: float
+
+    def __post_init__(self) -> None:
+        if not self.omega_image >= 0:
+            raise ValueError(f"omega_image must be >= 0, got {self.omega_image!r}")
+        if self.omega_image == math.inf:
+            raise ValueError(f"omega_image must be finite, got {self.omega_image!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,7 @@ def near_field_check(
     ``2R < factor * min(c/omega)``. A failed check is advisory: callers
     attach it to run metadata and continue.
     """
-    if not factor > 0:
-        raise ValueError(f"factor must be positive, got {factor!r}")
+    _positive_finite("factor", factor)
     gaps = [tip.omega]
     if image.omega_image > 0:
         gaps.append(image.omega_image)

@@ -114,11 +114,10 @@ class InversionProblem:
         if hi == math.inf:
             raise ValueError(f"bracket must be finite, got ({lo!r}, {hi!r})")
         _positive_finite("tol_rel", self.tol_rel)
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ValueError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
-            )
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        n = self.max_iter
+        if not (n >= 1 and n != math.inf and int(n) == n):
+            raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "max_iter", int(n))
         if self.method not in ("closed", "oracle"):
             raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
         _positive_finite("observed_omega_s", self.observed_omega_s)
@@ -403,6 +402,10 @@ class SweepSpec:
             raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
         if not 2 <= count <= SWEEP_COUNT_LIMIT:
             raise ValueError(f"count must lie in 2..{SWEEP_COUNT_LIMIT}, got {count}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(
+                f"sweep endpoints must be finite, got ({start!r}, {stop!r})"
+            )
         if spacing == "log":
             if start <= 0 or stop <= 0:
                 raise ValueError("log spacing needs positive endpoints")

@@ -22,18 +22,9 @@ from .errors import (
     NotNormalizedError,
 )
 
-__all__ = [
-    "StateVector",
-    "OperatorMatrix",
-    "kron",
-    "eigh",
-    "partial_trace",
-    "outer",
-    "identity",
-]
+__all__ = ["StateVector", "OperatorMatrix", "eigh", "partial_trace", "outer"]
 
 _HERMITIAN_TOL = 1e-12  # largest max|M - M^dag| / max|M| of a Hermitian M
-_NORM_TOL = 1e-12  # largest |<psi|psi> - 1| that StateVector.is_normalized accepts
 _OUTER_NORM_TOL = 1e-9  # largest |<psi|psi> - 1| that outer accepts
 
 
@@ -78,9 +69,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self) -> bool:
-        return abs(self.norm**2 - 1.0) <= _NORM_TOL
-
 
 class OperatorMatrix:
     """Square operator over a composite register, stored as its nonzeros.
@@ -106,41 +94,6 @@ class OperatorMatrix:
             )
         rows, cols = np.nonzero(mat)
         self._freeze(dims, side, rows, cols, mat[rows, cols], mat)
-
-    @classmethod
-    def from_triplets(
-        cls,
-        dims: Sequence[int],
-        rows: Sequence[int],
-        cols: Sequence[int],
-        values: Sequence[complex],
-    ) -> "OperatorMatrix":
-        """Operator whose entry ``(rows[k], cols[k])`` is ``values[k]``.
-
-        Every other entry is zero; zero values are dropped. A position
-        may be given once.
-        """
-        dims = _check_dims(dims)
-        side = math.prod(dims)
-        rows = np.asarray(rows, dtype=np.intp).ravel()
-        cols = np.asarray(cols, dtype=np.intp).ravel()
-        values = np.asarray(values, dtype=complex).ravel()
-        if not rows.size == cols.size == values.size:
-            raise ValueError(
-                f"triplet lengths differ: {rows.size} rows, {cols.size} cols,"
-                f" {values.size} values"
-            )
-        if rows.size and not (
-            min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < side
-        ):
-            raise ValueError(f"triplet index outside 0..{side - 1} for dims {dims}")
-        nonzero = values != 0
-        rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
-        keys = rows * side + cols
-        order = np.argsort(keys, kind="stable")
-        if not (np.diff(keys[order]) > 0).all():
-            raise ValueError("triplets give one position more than once")
-        return cls._canonical(dims, rows[order], cols[order], values[order])
 
     @classmethod
     def _canonical(
@@ -177,8 +130,10 @@ class OperatorMatrix:
         return f"OperatorMatrix(dims={self.dims}, nonzeros={self.values.size})"
 
     def __reduce__(self):
+        # the triplets are canonical already; unpickling rewraps them
+        # without a sort and leaves the dense matrix unbuilt
         triplets = (self.dims, self.rows, self.cols, self.values)
-        return OperatorMatrix.from_triplets, triplets
+        return OperatorMatrix._canonical, triplets
 
     @property
     def entries(self) -> np.ndarray:
@@ -219,17 +174,6 @@ class OperatorMatrix:
         """Whether ``max|M - M^dag| <= 1e-12 * max|M|`` (a zero ``M`` is)."""
         dev, scale = self._hermitian_deviation()
         return dev <= _HERMITIAN_TOL * scale
-
-
-def identity(dims: Sequence[int]) -> OperatorMatrix:
-    """Identity operator on the register described by ``dims``."""
-    index = np.arange(math.prod(_check_dims(dims)))
-    return OperatorMatrix.from_triplets(dims, index, index, np.ones(index.size))
-
-
-def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product; the left operand is the most significant factor."""
-    return OperatorMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 
 def eigh(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -222,6 +222,47 @@ class TestPhotonReport:
                 )
 
 
+class TestNonFiniteInputs:
+    """A non-finite input raises a ValueError that names it."""
+
+    FUNCTIONS = [beta_coefficients, energy_shift, photon_report]
+
+    @staticmethod
+    def call(fn, **changes):
+        point = dict(FIXTURE, **changes)
+        if fn is energy_shift:
+            return fn(1.0, **point)
+        return fn(InitialCoefficients.ground_state(), **point)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("name", ["height_nm", "omega", "kappa"])
+    def test_infinite_value(self, fn, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            self.call(fn, **{name: math.inf})
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("kappa", [math.nan, -math.inf])
+    def test_kappa_nan_or_negative_infinite(self, fn, kappa):
+        with pytest.raises(ValueError) as info:
+            self.call(fn, kappa=kappa)
+        assert str(info.value) == f"kappa must be finite, got {kappa!r}"
+
+    def test_scattered_frequency_infinite_gap(self):
+        with pytest.raises(ValueError, match="^omega must be finite, got inf$"):
+            scattered_frequency(math.inf, -0.2)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.nan])
+    def test_existing_messages_unchanged(self, bad):
+        for fn in self.FUNCTIONS:
+            for name in ("height_nm", "omega"):
+                with pytest.raises(ValueError) as info:
+                    self.call(fn, **{name: bad})
+                assert str(info.value) == f"{name} must be positive, got {bad!r}"
+        with pytest.raises(ValueError) as info:
+            scattered_frequency(bad, -0.2)
+        assert str(info.value) == f"omega must be positive, got {bad!r}"
+
+
 class TestNormWithoutNumpy:
     """``BetaCoefficients.norm`` is ``math.hypot``; numpy's norm, the
     square root of a BLAS dot product, was the earlier value."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qsnom.dipole import (
     HBAR_C_EV_NM,
     DielectricSample,
+    ImageDipole,
     TipDipole,
     derive_image,
     near_field_check,
@@ -95,6 +96,19 @@ class TestImageDerivation:
             assert str(info.value) == f"{name} must be positive, got {bad!r}"
 
 
+class TestImageValidation:
+    def test_rejects_infinite_gap(self):
+        with pytest.raises(ValueError) as info:
+            ImageDipole(omega_image=math.inf)
+        assert str(info.value) == "omega_image must be finite, got inf"
+
+    @pytest.mark.parametrize("gap", [-0.5, -math.inf, math.nan])
+    def test_rejects_gap_below_ground(self, gap):
+        with pytest.raises(ValueError) as info:
+            ImageDipole(omega_image=gap)
+        assert str(info.value) == f"omega_image must be >= 0, got {gap!r}"
+
+
 class TestNearFieldCheck:
     def test_nanoscale_gap_passes(self):
         # the reduced wavelength is hbar c / omega
@@ -120,8 +134,14 @@ class TestNearFieldCheck:
     def test_factor_validation(self):
         tip = TipDipole(omega=1.0, height_nm=1.0)
         image = derive_image(tip, DielectricSample(1.0))
-        with pytest.raises(ValueError):
-            near_field_check(tip, image, factor=0.0)
+        with pytest.raises(ValueError) as info:
+            near_field_check(tip, image, factor=math.inf)
+        assert str(info.value) == "factor must be finite, got inf"
+        # the earlier messages stay as they were
+        for bad in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError) as info:
+                near_field_check(tip, image, factor=bad)
+            assert str(info.value) == f"factor must be positive, got {bad!r}"
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))

@@ -264,6 +264,35 @@ class TestNonFiniteInputs:
         with pytest.raises(OutOfBracketError):
             invert_permittivity(InversionProblem(1.5, 1.0, 1.0, 0.05, method=method))
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_near_field_factor(self, method):
+        with pytest.raises(ValueError, match="^factor must be finite, got inf$"):
+            forward(3.0, 1000.0, 1.0, 0.05, near_field_factor=math.inf, method=method)
+
+    @pytest.mark.parametrize("max_iter", [math.inf, math.nan, -math.inf, 2.5, 0])
+    def test_max_iter(self, max_iter):
+        with pytest.raises(ValueError) as info:
+            InversionProblem(0.9, 1.0, 1.0, 0.05, max_iter=max_iter)
+        assert str(info.value) == f"max_iter must be an integer >= 1, got {max_iter!r}"
+
+    @pytest.mark.parametrize(
+        "start, stop, spacing",
+        [
+            (1.0, math.inf, "linear"),
+            (math.nan, 5.0, "linear"),
+            (-math.inf, 5.0, "linear"),
+            (1.0, math.inf, "log"),
+            (math.nan, 5.0, "log"),
+        ],
+    )
+    def test_sweep_endpoints(self, start, stop, spacing):
+        fixed = {"R": 1.0, "omega": 1.0, "kappa": 0.05}
+        with pytest.raises(ValueError) as info:
+            SweepSpec.from_range("epsilon_d", start, stop, 3, spacing, fixed=fixed)
+        assert str(info.value) == (
+            f"sweep endpoints must be finite, got ({start!r}, {stop!r})"
+        )
+
     def test_existing_messages_unchanged(self):
         good = dict(observed_omega_s=0.9, height_nm=1.0, omega=1.0, kappa=0.05)
         for changes, text in (

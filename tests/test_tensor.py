@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -10,13 +11,12 @@ from qsnom.errors import (
     NotHermitianError,
     NotNormalizedError,
 )
+from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_delta_h
 from qsnom.tensor import (
     _HERMITIAN_TOL,
     OperatorMatrix,
     StateVector,
     eigh,
-    identity,
-    kron,
     outer,
     partial_trace,
 )
@@ -44,8 +44,6 @@ class TestContainers:
     def test_state_vector_norm(self):
         psi = StateVector((2,), [3.0, 4.0])
         assert psi.norm == pytest.approx(5.0)
-        assert not psi.is_normalized()
-        assert StateVector((2,), [1.0, 0.0]).is_normalized()
 
     def test_operator_shape_check(self):
         with pytest.raises(ValueError, match="does not match dims"):
@@ -87,19 +85,8 @@ class TestTriplets:
         np.testing.assert_array_equal(op.diagonal(), [0.0, 0.0, 3.0])
         assert op.trace == 3.0
 
-    def test_from_triplets_sorts_and_drops_zeros(self):
-        op = OperatorMatrix.from_triplets(
-            (2, 2), [3, 0, 1, 2], [0, 3, 1, 2], [4.0, 1.0, 0.0, 2.0 + 1j]
-        )
-        assert op.dims == (2, 2)
-        assert op.rows.tolist() == [0, 2, 3]
-        assert op.cols.tolist() == [3, 2, 0]
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3], expected[2, 2], expected[3, 0] = 1.0, 2.0 + 1j, 4.0
-        np.testing.assert_array_equal(op.entries, expected)
-
     def test_dense_matrix_is_built_on_first_read_only(self):
-        op = OperatorMatrix.from_triplets((1000,), [0, 999], [999, 0], [1.0, 1.0])
+        op = build_delta_h(1.0, ModelConfig(n_max=249))
         assert op._entries is None
         assert op.side == 1000 and op.is_hermitian()
         assert op._entries is None
@@ -107,27 +94,20 @@ class TestTriplets:
         assert dense is op.entries
         assert not dense.flags.writeable
 
-    @pytest.mark.parametrize(
-        "rows, cols, values, message",
-        [
-            ([0, 0], [1, 1], [1.0, 2.0], "more than once"),
-            ([0, 2], [1, 0], [1.0, 2.0], "outside"),
-            ([-1], [0], [1.0], "outside"),
-            ([0], [0, 1], [1.0], "lengths differ"),
-        ],
-    )
-    def test_bad_triplets_rejected(self, rows, cols, values, message):
-        with pytest.raises(ValueError, match=message):
-            OperatorMatrix.from_triplets((2,), rows, cols, values)
-
     def test_pickle_round_trip(self):
         op = pickle.loads(pickle.dumps(OperatorMatrix((2,), SIGMA_X)))
         np.testing.assert_array_equal(op.entries, SIGMA_X)
-
-    def test_identity_is_sparse(self):
-        op = identity((2, 3))
-        assert op.values.size == 6
-        np.testing.assert_array_equal(op.entries, np.eye(6))
+        sparse = build_delta_h(0.3, ModelConfig(n_max=N_MAX_LIMIT))
+        copies = [
+            pickle.loads(pickle.dumps(sparse, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies + [copy.deepcopy(sparse)]:
+            assert twin.dims == sparse.dims
+            for name in ("rows", "cols", "values"):
+                np.testing.assert_array_equal(getattr(twin, name), getattr(sparse, name))
+                assert not getattr(twin, name).flags.writeable
+            assert twin._entries is None
 
 
 def dense_is_hermitian(m, tol):
@@ -179,35 +159,6 @@ class TestIsHermitian:
     )
     def test_edge_cases(self, entries, expected):
         assert OperatorMatrix((2,), np.array(entries)).is_hermitian() is expected
-
-
-class TestKron:
-    def test_sigma_x_with_identity(self):
-        out = kron(OperatorMatrix((2,), SIGMA_X), identity((2,)))
-        assert out.dims == (2, 2)
-        expected = np.zeros((4, 4))
-        for i, j in [(0, 2), (1, 3), (2, 0), (3, 1)]:
-            expected[i, j] = 1.0
-        np.testing.assert_array_equal(out.entries, expected)
-
-    def test_dims_concatenate(self):
-        a = OperatorMatrix((2, 3), np.ones((6, 6)))
-        b = OperatorMatrix((4,), np.ones((4, 4)))
-        assert kron(a, b).dims == (2, 3, 4)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 1000))
-    def test_associative_and_trace_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = OperatorMatrix((2,), random_hermitian(rng, 2))
-        b = OperatorMatrix((3,), random_hermitian(rng, 3))
-        c = OperatorMatrix((2,), random_hermitian(rng, 2))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        np.testing.assert_allclose(left.entries, right.entries, atol=1e-12)
-        np.testing.assert_allclose(
-            kron(a, b).trace, a.trace * b.trace, rtol=1e-12, atol=1e-12
-        )
 
 
 class TestEigh:
