@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import math
 import os
@@ -26,7 +27,6 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__, closedform, crosscheck
 from .errors import ConfigError, QsnomError
-from .hamiltonian import N_MAX_LIMIT
 from .inversion import (
     SWEEP_AXES,
     SWEEP_COUNT_LIMIT,
@@ -164,12 +164,6 @@ class RunConfig:
     R_nm: float = _key(1.0, _parse_float, _POSITIVE)
     omega_eV: float = _key(1.0, _parse_float, _POSITIVE)
     kappa: float = _key(0.05, _parse_float, _POSITIVE)
-    n_max: int = _key(
-        1,
-        _parse_int,
-        _rule(lambda v, _: 1 <= v <= N_MAX_LIMIT, f"must lie in 1..{N_MAX_LIMIT}"),
-    )
-    photon_energy_eV: float | None = _key(None, _parse_float, _POSITIVE)
     near_field_factor: float = _key(0.1, _parse_float, _POSITIVE)
     forward_method: str = _key("closed", _parse_choice("closed", "oracle"))
     tol_rel: float = _key(1e-10, _parse_float, _POSITIVE)
@@ -301,33 +295,36 @@ def _replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as fh:
-        fh.write(text)
+def _write_pair(out: Path, text: str, cfg: RunConfig, command: str) -> None:
+    """Write ``text`` to ``out`` and the run's ``.meta`` sidecar as a pair.
 
-
-def _write_meta(out: Path, cfg: RunConfig, command: str) -> None:
+    Both go to new files first. The sidecar is renamed into place before
+    the table, so if either write fails ``out`` keeps its old content,
+    or stays absent.
+    """
     lines = [f"artifact=qsnom {__version__}", f"command={command}"]
     for f in sorted(fields(cfg), key=lambda f: f.name):
         lines.append(f"{f.name}={_fmt(getattr(cfg, f.name))}")
-    _write_text(_meta_path(out), "\n".join(lines) + "\n")
-    log.info("wrote metadata sidecar %s", _meta_path(out))
+    # the inner block exits, and renames its file, first
+    with _replacing(out) as table, _replacing(_meta_path(out)) as meta:
+        table.write(text)
+        meta.write("\n".join(lines) + "\n")
+    log.info("wrote %s and its metadata sidecar %s", out, _meta_path(out))
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-    log.info("wrote %d rows to %s", len(rows), path)
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
+    return buffer.getvalue()
 
 
 def _emit_report(text: str, out: Path | None, cfg: RunConfig, command: str) -> None:
     sys.stdout.write(text)
     if out is not None:
-        _write_text(out, text)
-        _write_meta(out, cfg, command)
+        _write_pair(out, text, cfg, command)
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path | None) -> int:
@@ -337,8 +334,6 @@ def _cmd_simulate(cfg: RunConfig, out: Path | None) -> int:
         cfg.omega_eV,
         cfg.kappa,
         near_field_factor=cfg.near_field_factor,
-        n_max=cfg.n_max,
-        photon_energy=cfg.photon_energy_eV,
         method=cfg.forward_method,
     )
     beta = closedform.beta_coefficients(
@@ -373,19 +368,16 @@ def _cmd_simulate(cfg: RunConfig, out: Path | None) -> int:
 def _cmd_invert(cfg: RunConfig, out: Path | None) -> int:
     if cfg.observed_omega_s is None:
         raise ConfigError("invert requires observed_omega_s")
-    try:
-        problem = InversionProblem(
-            observed_omega_s=cfg.observed_omega_s,
-            height_nm=cfg.R_nm,
-            omega=cfg.omega_eV,
-            kappa=cfg.kappa,
-            bracket=(cfg.bracket_lo, cfg.bracket_hi),
-            tol_rel=cfg.tol_rel,
-            max_iter=cfg.max_iter,
-            method=cfg.forward_method,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = InversionProblem(
+        observed_omega_s=cfg.observed_omega_s,
+        height_nm=cfg.R_nm,
+        omega=cfg.omega_eV,
+        kappa=cfg.kappa,
+        bracket=(cfg.bracket_lo, cfg.bracket_hi),
+        tol_rel=cfg.tol_rel,
+        max_iter=cfg.max_iter,
+        method=cfg.forward_method,
+    )
     result = invert_permittivity(problem)
     log.debug("inversion finished in %d iterations", result.iterations)
     pairs = [
@@ -448,8 +440,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path | None) -> int:
     spec = _build_sweep_spec(cfg)
     rows = run_sweep(spec)
     header = ("axis_value",) + spec.outputs + ("warnings", "error")
-    _write_csv(out, header, [[row[c] for c in header] for row in rows])
-    _write_meta(out, cfg, "sweep")
+    text = _csv_text(header, [[row[c] for c in header] for row in rows])
+    _write_pair(out, text, cfg, "sweep")
     return EXIT_OK
 
 
@@ -470,8 +462,6 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
                 cfg.oracle_heights_nm,
                 omega=cfg.omega_eV,
                 kappa=cfg.kappa,
-                n_max=cfg.n_max,
-                photon_energy=cfg.photon_energy_eV,
             )
         except (QsnomError, ValueError, ArithmeticError) as exc:
             alpha = (eps - 1.0) / (eps + 1.0) if eps != -1.0 else None
@@ -501,8 +491,7 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path | None) -> int:
                     "",
                 ]
             )
-    _write_csv(out, ORACLE_CHECK_COLUMNS, table)
-    _write_meta(out, cfg, "oracle-check")
+    _write_pair(out, _csv_text(ORACLE_CHECK_COLUMNS, table), cfg, "oracle-check")
     if failures and len(failures) == len(cfg.oracle_epsilon_values):
         alpha, exc = failures[0]
         sys.stderr.write(

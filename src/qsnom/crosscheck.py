@@ -139,7 +139,6 @@ def consistency_report(
     omega: float = 1.0,
     kappa: float = 0.05,
     n_max: int = 1,
-    photon_energy: float | None = None,
 ) -> ConsistencyReport:
     """Compare shift and coefficient routes over a tip-height sweep.
 
@@ -155,7 +154,7 @@ def consistency_report(
         raise ValueError("heights_nm must contain at least one height")
     sample = DielectricSample(epsilon_d)
     a = closedform.InitialCoefficients.ground_state()
-    cfg = ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa)
+    cfg = ModelConfig(n_max=n_max, kappa=kappa)
 
     rows: list[ConsistencyRow] = []
     for height in heights_nm:

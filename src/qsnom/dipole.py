@@ -119,7 +119,8 @@ def near_field_check(
     The separation 2R is compared against the smallest reduced
     wavelength among the two transition energies; the check passes when
     ``2R < factor * min(c/omega)``. A failed check is advisory: callers
-    attach it to run metadata and continue.
+    attach it to run metadata and continue. A ratio that overflows
+    raises ``OverflowError``.
     """
     _positive_finite("factor", factor)
     gaps = [tip.omega]
@@ -127,4 +128,9 @@ def near_field_check(
         gaps.append(image.omega_image)
     shortest = min(HBAR_C_EV_NM / e for e in gaps)
     ratio = tip.separation / shortest
+    if ratio == math.inf:
+        raise OverflowError(
+            f"near-field ratio overflows: separation {tip.separation!r} nm"
+            f" over reduced wavelength {shortest!r} nm"
+        )
     return NearFieldReport(passed=ratio < factor, ratio=ratio, factor=factor)

@@ -3,14 +3,16 @@
 The composite register is (tip, image, photon) with the tip most
 significant: basis index ``(i_a * 2 + i_b) * (n_max + 1) + n`` for tip
 level ``i_a``, image level ``i_b`` and photon number ``n``; level 0 is
-the ground state. The free part is diagonal; the dipole-dipole coupling
-flips both two-level systems at once and leaves the photon register
-untouched. Both terms are built as their nonzero entries, so memory and
-time grow linearly with ``n_max``.
+the ground state. The free part is diagonal, with the photon mode
+resonant with the tip gap; the dipole-dipole coupling flips both
+two-level systems at once and leaves the photon register untouched.
+Both terms are built as their nonzero entries, so memory and time grow
+linearly with ``n_max``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +47,13 @@ N_MAX_LIMIT = 1024
 class ModelConfig:
     """Photon register size and coupling prefactor.
 
-    ``photon_energy`` of ``None`` means resonant with the tip gap.
-    ``kappa`` collects the product of transition moments, the vacuum
-    permittivity, and the fixed tip-image geometry into one scalar with
-    units eV nm^3. ``n_max`` lies in ``1..N_MAX_LIMIT``.
+    The photon mode is resonant with the tip gap. ``kappa`` collects the
+    product of transition moments, the vacuum permittivity, and the
+    fixed tip-image geometry into one scalar with units eV nm^3.
+    ``n_max`` lies in ``1..N_MAX_LIMIT``.
     """
 
     n_max: int = 1
-    photon_energy: float | None = None
     kappa: float = 0.05
 
     def __post_init__(self) -> None:
@@ -61,12 +62,7 @@ class ModelConfig:
                 f"n_max must be an integer in 1..{N_MAX_LIMIT}, got {self.n_max!r}"
             )
         object.__setattr__(self, "n_max", int(self.n_max))
-        if self.photon_energy is not None:
-            _positive_finite("photon_energy", self.photon_energy)
         _positive_finite("kappa", self.kappa)
-
-    def resolved_photon_energy(self, tip: TipDipole) -> float:
-        return tip.omega if self.photon_energy is None else self.photon_energy
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,19 @@ def _h0_energies(
     image: ImageDipole,
     cfg: ModelConfig | None,
 ) -> np.ndarray:
-    levels = 1 if cfg is None else cfg.n_max + 1
-    e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
-    pairs = np.array(
-        [i_a * tip.omega + i_b * image.omega_image for i_a in (0, 1) for i_b in (0, 1)]
-    )
-    return (pairs[:, None] + np.arange(levels) * e_photon).ravel()
+    n_max = 0 if cfg is None else cfg.n_max
+    pairs = [
+        i_a * tip.omega + i_b * image.omega_image for i_a in (0, 1) for i_b in (0, 1)
+    ]
+    # every level is at most the top one, so a finite top leaves numpy
+    # nothing to overflow
+    if not math.isfinite(pairs[-1] + n_max * tip.omega):
+        raise OverflowError(
+            "free energy of the top level omega + omega_image + n_max*omega"
+            f" is not finite: omega={tip.omega!r},"
+            f" omega_image={image.omega_image!r}, n_max={n_max}"
+        )
+    return (np.array(pairs)[:, None] + np.arange(n_max + 1) * tip.omega).ravel()
 
 
 def build_h0(
@@ -150,59 +153,20 @@ def build_delta_h(g: float, cfg: ModelConfig | None = None) -> OperatorMatrix:
     )
 
 
-def _smallest_spacing(
-    tip: TipDipole,
-    image: ImageDipole,
-    cfg: ModelConfig | None,
-) -> float:
-    """Smallest positive gap between levels of the free spectrum.
-
-    Two levels differ by ``d + m * E`` with ``d`` one of 0, ``omega_img``,
-    ``omega``, ``|omega - omega_img|`` and ``omega + omega_img`` up to
-    sign, ``E`` the photon energy and ``|m| <= n_max``. For ``d > 0``
-    the smallest ``|d - m * E|`` lies at the ``m`` in ``0..n_max``
-    nearest ``d / E``; where that is an exact tie, the next best is
-    ``E``, the gap at ``d = 0``. The arithmetic runs in integers on the
-    binary values of the floats, so levels that are equal in exact
-    arithmetic count as one level, and the gap is rounded once.
-    """
-    n_max = 0 if cfg is None else cfg.n_max
-    photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
-    # as_integer_ratio raises on inf and nan; each denominator is a
-    # power of two, so the largest is a common one
-    w, w_den = tip.omega.as_integer_ratio()
-    v, v_den = abs(image.omega_image).as_integer_ratio()
-    e, e_den = photon.as_integer_ratio()
-    den = max(w_den, v_den, e_den)
-    w *= den // w_den
-    v *= den // v_den
-    e *= den // e_den
-    best = e if n_max else w  # a gap: d = 0 with m = 1, or d = omega alone
-    for d in (v, w, abs(w - v), w + v):
-        if n_max:
-            m, d = divmod(d, e)  # the nearest photon number is m or m + 1
-            if m >= n_max:
-                d += (m - n_max) * e
-            elif d + d > e:
-                d = e - d
-        if 0 < d < best:
-            best = d
-    return best / den
-
-
 def regime_warnings(
     tip: TipDipole,
     image: ImageDipole,
-    cfg: ModelConfig | None,
     g: float,
 ) -> tuple[str, ...]:
-    """Advisory check that g is small against the level spacing.
+    """Advisory check that g is small against the gaps it couples across.
 
-    Returns a warning when ``g`` exceeds a tenth of the smallest
-    positive gap of the free spectrum; the build itself never fails on
+    The coupling links |g,g> to |e,e> across ``omega + omega_img`` and
+    |g,e> to |e,g> across ``|omega - omega_img|``, each at one photon
+    number; the exchange gap is never the larger. Returns a warning
+    when ``g`` exceeds a tenth of it; the build itself never fails on
     this.
     """
-    spacing = _smallest_spacing(tip, image, cfg)
+    spacing = abs(tip.omega - image.omega_image)
     if g > 0.1 * spacing:
         return (
             f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
@@ -221,5 +185,5 @@ def build_hamiltonian_pair(
     g = coupling_constant(tip, sample, cfg)
     h0 = build_h0(tip, image, cfg)
     delta_h = build_delta_h(g, cfg)
-    warns = regime_warnings(tip, image, cfg, g)
+    warns = regime_warnings(tip, image, g)
     return HamiltonianPair(h0=h0, delta_h=delta_h, g=g, warnings=warns)

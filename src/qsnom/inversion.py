@@ -138,8 +138,6 @@ def forward(
     omega: float,
     kappa: float,
     near_field_factor: float = 0.1,
-    n_max: int = 1,
-    photon_energy: float | None = None,
     method: str = "closed",
 ) -> ForwardResult:
     """Map a permittivity to the scattered-photon observables.
@@ -155,12 +153,12 @@ def forward(
     sample = DielectricSample(epsilon_d)
     tip = TipDipole(omega=omega, height_nm=height_nm)
     image = derive_image(tip, sample)
-    cfg = ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa)
+    cfg = ModelConfig(kappa=kappa)
     field_report = near_field_check(tip, image, near_field_factor)
 
     if method == "closed":
         g = coupling_constant(tip, sample, cfg)
-        warnings = list(regime_warnings(tip, image, cfg, g))
+        warnings = list(regime_warnings(tip, image, g))
         report = closedform.photon_report(
             _GROUND_STATE,
             height_nm,
@@ -385,6 +383,7 @@ class SweepSpec:
                 f" valid columns: {SWEEP_OUTPUTS}"
             )
         object.__setattr__(self, "outputs", outputs)
+        _positive_finite("near_field_factor", self.near_field_factor)
 
     @classmethod
     def from_range(
@@ -400,8 +399,11 @@ class SweepSpec:
     ) -> SweepSpec:
         if spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-        if not 2 <= count <= SWEEP_COUNT_LIMIT:
-            raise ValueError(f"count must lie in 2..{SWEEP_COUNT_LIMIT}, got {count}")
+        if not (2 <= count <= SWEEP_COUNT_LIMIT and int(count) == count):
+            raise ValueError(
+                f"count must be an integer in 2..{SWEEP_COUNT_LIMIT}, got {count!r}"
+            )
+        count = int(count)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(
                 f"sweep endpoints must be finite, got ({start!r}, {stop!r})"

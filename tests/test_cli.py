@@ -25,7 +25,6 @@ from qsnom.cli import (
     resolve_config,
 )
 from qsnom.errors import ConfigError, DegenerateGapError
-from qsnom.hamiltonian import N_MAX_LIMIT
 
 
 SWEEP_RANGE = [
@@ -224,15 +223,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert elapsed < 1.0
-        assert err == (
-            f"config error: n_max must lie in 1..{N_MAX_LIMIT}, got 100000000\n"
-        )
+        assert err.startswith("config error: unknown config key 'n_max'; valid keys: ")
 
-    def test_n_max_at_the_limit_runs(self, capsys):
-        argv = ["simulate", "--set", "forward_method=oracle"]
-        assert main(argv + ["--set", f"n_max={N_MAX_LIMIT}"]) == EXIT_OK
-        report = report_dict(capsys.readouterr().out)
-        assert float(report["delta_e_eV"]) == pytest.approx(-7.8125e-6, rel=1e-12)
+    @pytest.mark.parametrize("key", ["n_max", "photon_energy_eV"])
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    def test_photon_register_keys_are_unknown(self, tmp_path, capsys, command, key):
+        out = tmp_path / "o.txt"
+        assert main([command, "--set", f"{key}=1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown config key {key!r}; valid keys: ")
+        assert "n_max" not in err.partition("valid keys")[2]
+        assert "photon_energy_eV" not in err.partition("valid keys")[2]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_free_energy_is_model_error(self, tmp_path, capsys):
+        # omega + omega_img is finite, the one-photon level above it is not
+        argv = ["simulate", "--set", "epsilon_d=2.5", "--set", "R_nm=1",
+                "--set", "omega_eV=1e308", "--set", "kappa=1e-12",
+                "--set", "forward_method=oracle", "--out", str(tmp_path / "o.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "model error: OverflowError: free energy of the top level omega +"
+            " omega_image + n_max*omega is not finite: omega=1e+308,"
+            " omega_image=1.836734693877551e+307, n_max=1\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_count_above_the_limit_is_config_error(self, tmp_path, capsys):
         limit = inversion.SWEEP_COUNT_LIMIT
@@ -314,6 +333,30 @@ class TestAtomicWrites:
             main(args)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("old", [b"old table\n", None])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["invert", "--set", "observed_omega_s=0.9999"],
+            ["sweep", "--set", "sweep_axis=epsilon_d", "--set", "sweep_values=1,3"],
+            ["oracle-check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_sidecar_keeps_old_out(self, tmp_path, capsys, argv, old):
+        out = tmp_path / "r.txt"
+        if old is not None:
+            out.write_bytes(old)
+        (tmp_path / "r.meta").mkdir()
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["r.meta"] if old is None else ["r.meta", "r.txt"]
+        )
+        if old is not None:
+            assert out.read_bytes() == old
+
     def test_new_file_has_plain_open_permissions(self, tmp_path, capsys):
         reference = tmp_path / "reference.txt"
         reference.write_text("x")
@@ -377,10 +420,18 @@ class TestSimulate:
         )
 
     def test_levels_tied_in_exact_arithmetic_warn_nothing(self, capsys):
-        # the smallest spacing is omega_img = 0.075 eV; rounding used to
-        # split two equal levels and report their ulp as the spacing
-        argv = ["simulate", "--set", "omega_eV=0.3", "--set", "n_max=2",
-                "--set", "R_nm=5", "--set", "kappa=0.001"]
+        # with the resonant photon, |e,g,0> and |g,g,1> are one level, as
+        # are |e,e,0> and |g,e,1>; the coupling links neither pair
+        argv = ["simulate", "--set", "omega_eV=0.3", "--set", "R_nm=5",
+                "--set", "kappa=0.001", "--set", "forward_method=oracle"]
+        assert main(argv) == EXIT_OK
+        assert report_dict(capsys.readouterr().out)["warnings"] == ""
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_near_vacuum_sample_warns_nothing(self, capsys, method):
+        # the image gap of 2.5e-7 eV separates no pair the coupling links
+        argv = ["simulate", "--set", "epsilon_d=1.001",
+                "--set", f"forward_method={method}"]
         assert main(argv) == EXIT_OK
         assert report_dict(capsys.readouterr().out)["warnings"] == ""
 
@@ -605,7 +656,6 @@ FLOAT_KEYS = (
     "R_nm",
     "omega_eV",
     "kappa",
-    "photon_energy_eV",
     "near_field_factor",
     "tol_rel",
     "observed_omega_s",
@@ -617,10 +667,10 @@ FLOAT_KEYS = (
     "oracle_epsilon_values",
     "oracle_heights_nm",
 )
-INT_KEYS = ("n_max", "max_iter", "sweep_count")
+INT_KEYS = ("max_iter", "sweep_count")
 # values no check lets through, and values that validation must reject
 HUGE_OR_TINY = st.tuples(
-    st.sampled_from(FLOAT_KEYS), st.sampled_from(("1e300", "1e-300"))
+    st.sampled_from(FLOAT_KEYS), st.sampled_from(("1e308", "1e300", "1e-300"))
 )
 INVALID_OVERRIDES = st.tuples(
     st.sampled_from(FLOAT_KEYS + INT_KEYS),
@@ -629,7 +679,8 @@ INVALID_OVERRIDES = st.tuples(
 PLAIN_OVERRIDES = st.one_of(
     st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(("0.5", "1", "3"))),
     st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(("1", "2", "8"))),
-    st.tuples(st.just("n_max"), st.sampled_from(("1024", "1025", "100000000"))),
+    # keys the configuration no longer has
+    st.tuples(st.sampled_from(("n_max", "photon_energy_eV")), st.just("1")),
     st.tuples(
         st.just("sweep_count"),
         st.sampled_from((str(inversion.SWEEP_COUNT_LIMIT + 1), str(10**18))),
@@ -671,11 +722,11 @@ class TestRobustness:
     ):
         """Every input ends in exit 0, 2, 3 or 4, never in an exception.
 
-        Each run sets a few plain values, up to two of 1e300 and 1e-300
-        and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It may
-        repeat a key, and it writes to a fresh file, to ``.``, to
-        ``x.meta`` or to an existing directory. ``n_max`` is at most 8,
-        or at, just above or far above its limit; ``sweep_count`` is at
+        Each run sets a few plain values, up to two of 1e308, 1e300 and
+        1e-300 and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It
+        may repeat a key or set a removed one (``n_max``,
+        ``photon_energy_eV``), and it writes to a fresh file, to ``.``, to
+        ``x.meta`` or to an existing directory. ``sweep_count`` is at
         most 8, or just or far above its limit, and a sweep gives its
         values as a list or as a range. The ``oracle-check`` grids may
         mix a valid entry with a bad or repeated one. On exit 0 every

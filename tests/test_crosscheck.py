@@ -9,7 +9,6 @@ import qsnom.crosscheck
 import qsnom.perturbation
 from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
 from qsnom.hamiltonian import N_MAX_LIMIT
-from qsnom.inversion import forward
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
 
@@ -150,12 +149,6 @@ class TestFootprint:
 
     def test_report_at_the_n_max_limit(self):
         peak = peak_bytes(lambda: consistency_report(3.0, HEIGHTS, n_max=N_MAX_LIMIT))
-        assert peak < self.LIMIT
-
-    def test_oracle_forward_at_the_n_max_limit(self):
-        peak = peak_bytes(
-            lambda: forward(3.0, 1.0, 1.0, 0.05, n_max=N_MAX_LIMIT, method="oracle")
-        )
         assert peak < self.LIMIT
 
     def test_report_and_rows_have_no_instance_dict(self, report):

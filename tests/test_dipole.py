@@ -131,6 +131,12 @@ class TestNearFieldCheck:
         dielectric = near_field_check(tip, derive_image(tip, DielectricSample(11.7)))
         assert dielectric.ratio == pytest.approx(vacuum.ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("omega, height_nm", [(1.0, 1e308), (1e306, 1e5)])
+    def test_overflowing_ratio_is_an_overflow_error(self, omega, height_nm):
+        tip = TipDipole(omega=omega, height_nm=height_nm)
+        with pytest.raises(OverflowError, match="^near-field ratio overflows: "):
+            near_field_check(tip, derive_image(tip, DielectricSample(3.0)))
+
     def test_factor_validation(self):
         tip = TipDipole(omega=1.0, height_nm=1.0)
         image = derive_image(tip, DielectricSample(1.0))

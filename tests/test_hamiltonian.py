@@ -1,9 +1,11 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsnom import hamiltonian
@@ -11,7 +13,6 @@ from qsnom.dipole import DielectricSample, ImageDipole, TipDipole, derive_image
 from qsnom.hamiltonian import (
     N_MAX_LIMIT,
     ModelConfig,
-    _smallest_spacing,
     basis_index,
     build_delta_h,
     build_h0,
@@ -20,17 +21,6 @@ from qsnom.hamiltonian import (
     regime_warnings,
 )
 from qsnom.tensor import OperatorMatrix, eigh
-
-
-# photon energies that put levels of the free spectrum on top of each
-# other, as functions of (omega, omega_img)
-TIED_PHOTONS = {
-    "omega": lambda w, v: w,
-    "omega_img": lambda w, v: v,
-    "2 omega_img": lambda w, v: 2 * v,
-    "omega + omega_img": lambda w, v: w + v,
-    "omega / 3": lambda w, v: w / 3,
-}
 
 
 def make_parts(epsilon_d, omega=1.0, height=0.5, kappa=1.0, n_max=1):
@@ -81,14 +71,13 @@ class TestFreeHamiltonian:
 
     def test_entry_formula(self):
         _, tip, image, cfg = make_parts(5.0, omega=1.3, n_max=2)
-        cfg = ModelConfig(n_max=2, photon_energy=0.9, kappa=cfg.kappa)
         h0 = build_h0(tip, image, cfg)
         for i_a in (0, 1):
             for i_b in (0, 1):
                 for n in range(3):
                     idx = basis_index(i_a, i_b, n, 3)
                     expected = (
-                        i_a * 1.3 + i_b * image.omega_image + n * 0.9
+                        i_a * 1.3 + i_b * image.omega_image + n * 1.3
                     )
                     assert h0.entries[idx, idx].real == pytest.approx(
                         expected, abs=1e-15
@@ -99,16 +88,36 @@ class TestFreeHamiltonian:
         cfg = ModelConfig(n_max=3)
         assert build_h0(tip, image, cfg).dims == (2, 2, 4)
 
+    @pytest.mark.parametrize("n_max", [None, 1, 64])
+    def test_overflowing_level_is_an_overflow_error(self, n_max):
+        # the top level omega + omega_img (+ n_max * omega) overflows
+        # while omega and omega_img are finite
+        _, tip, image, _ = make_parts(1e4, omega=1e308)
+        cfg = None if n_max is None else ModelConfig(n_max=n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                build_h0(tip, image, cfg)
+        assert str(info.value) == (
+            "free energy of the top level omega + omega_image + n_max*omega is not"
+            f" finite: omega=1e+308, omega_image={image.omega_image!r},"
+            f" n_max={0 if n_max is None else n_max}"
+        )
 
-    @pytest.mark.parametrize("photon_energy", [None, 0.3, 1.7])
-    def test_energies_follow_the_level_formula_exactly(self, photon_energy):
+    def test_top_level_at_the_float_limit_builds(self):
+        # 0.5 + 0 + n_max * 0.5 stays finite up to the largest float
+        _, tip, image, _ = make_parts(1.0, omega=sys.float_info.max / 2)
+        h0 = build_h0(tip, image, ModelConfig(n_max=1))
+        assert h0.diagonal().real.max() == sys.float_info.max
+
+    @pytest.mark.parametrize("omega", [1.3, 0.3, 1.7])
+    def test_energies_follow_the_level_formula_exactly(self, omega):
         sample = DielectricSample(11.7)
-        tip = TipDipole(omega=1.3, height_nm=0.7)
+        tip = TipDipole(omega=omega, height_nm=0.7)
         image = derive_image(tip, sample)
-        cfg = ModelConfig(n_max=60, photon_energy=photon_energy)
-        e_photon = cfg.resolved_photon_energy(tip)
+        cfg = ModelConfig(n_max=60)
         expected = [
-            i_a * tip.omega + i_b * image.omega_image + n * e_photon
+            i_a * tip.omega + i_b * image.omega_image + n * tip.omega
             for i_a in (0, 1)
             for i_b in (0, 1)
             for n in range(61)
@@ -220,93 +229,97 @@ class TestAssembledPair:
     @given(
         epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
         omega=st.floats(0.05, 5.0),
-        photon=st.one_of(
-            st.none(), st.floats(0.05, 5.0), st.sampled_from(tuple(TIED_PHOTONS))
-        ),
-        n_max=st.one_of(st.none(), st.integers(1, 64)),
+        n_max=st.one_of(st.none(), st.integers(1, 16)),
         g=st.floats(0.0, 2.0),
     )
     def test_regime_warning_matches_all_pairs_reference(
-        self, epsilon_d, omega, photon, n_max, g
+        self, epsilon_d, omega, n_max, g
     ):
-        """The spacing is the smallest positive difference of the exact
-        levels, rounded once; photon energies that tie levels are drawn
-        on purpose."""
+        """The spacing is the smallest gap, in exact arithmetic and rounded
+        once, over all pairs of levels the coupling term links."""
         tip = TipDipole(omega=omega, height_nm=1.0)
         image = derive_image(tip, DielectricSample(epsilon_d))
-        if photon in TIED_PHOTONS:
-            photon = TIED_PHOTONS[photon](omega, image.omega_image)
-        assume(photon is None or photon > 0)
-        cfg = None if n_max is None else ModelConfig(n_max, photon)
+        cfg = None if n_max is None else ModelConfig(n_max)
         levels = 1 if cfg is None else cfg.n_max + 1
-        e_photon = 0.0 if cfg is None else cfg.resolved_photon_energy(tip)
-        exact = sorted(
-            {
-                i_a * Fraction(tip.omega)
-                + i_b * Fraction(image.omega_image)
-                + k * Fraction(e_photon)
-                for i_a in (0, 1)
-                for i_b in (0, 1)
-                for k in range(levels)
-            }
+        exact = [
+            i_a * Fraction(tip.omega) + i_b * Fraction(image.omega_image)
+            + k * Fraction(tip.omega)
+            for i_a in (0, 1)
+            for i_b in (0, 1)
+            for k in range(levels)
+        ]
+        coupled = build_delta_h(1.0, cfg)
+        spacing = float(
+            min(abs(exact[i] - exact[j]) for i, j in zip(coupled.rows, coupled.cols))
         )
-        spacing = float(min(hi - lo for lo, hi in zip(exact, exact[1:])))
-        assert _smallest_spacing(tip, image, cfg) == spacing
         expected = ()
         if g > 0.1 * spacing:
             expected = (
                 f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
                 f"positive level spacing {spacing:.6g} eV",
             )
-        assert regime_warnings(tip, image, cfg, g) == expected
-
-    def test_levels_tied_in_exact_arithmetic_are_one_level(self):
-        # omega + omega_img and omega_img + E_ph are the same level, but
-        # the two float sums round apart by one ulp
-        _, tip, image, cfg = make_parts(3.0, omega=0.3, height=5.0, kappa=0.001, n_max=2)
-        assert image.omega_image == 0.075
-        assert _smallest_spacing(tip, image, cfg) == 0.075
-        assert regime_warnings(tip, image, cfg, 5e-7) == ()
+        assert regime_warnings(tip, image, g) == expected
 
     def test_non_finite_energy_is_a_classed_error(self):
         # every non-finite level is rejected where it enters, so the
         # regime check and the Hamiltonian build only meet finite levels
         with pytest.raises(ValueError, match="omega"):
             TipDipole(omega=math.inf, height_nm=1.0)
-        with pytest.raises(ValueError, match="photon_energy"):
-            ModelConfig(photon_energy=math.inf)
         for omega_image in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^omega_image must be"):
                 ImageDipole(omega_image=omega_image)
 
-    def test_regime_warnings_at_the_limit_use_no_numpy(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+        omega=st.floats(1e-3, 1e3),
+    )
+    def test_regime_warnings_at_the_limit_use_no_numpy(self, epsilon_d, omega):
+        """The threshold is 0.1 x min(omega + omega_img, |omega - omega_img|),
+        pinned on both sides, and the check builds no spectrum."""
+        tip = TipDipole(omega=omega, height_nm=1.0)
+        image = derive_image(tip, DielectricSample(epsilon_d))
+        limit = 0.1 * min(
+            tip.omega + image.omega_image, abs(tip.omega - image.omega_image)
+        )
+
         def refuse(*args, **kwargs):
             raise AssertionError("the regime check must not build the spectrum")
 
-        monkeypatch.setattr(hamiltonian, "_h0_energies", refuse)
-        _, tip, image, _ = make_parts(3.0)
-        cfg = ModelConfig(n_max=N_MAX_LIMIT)
-        # omega_img = 0.25; the tip level ties with one resonant photon
-        assert _smallest_spacing(tip, image, cfg) == 0.25
-        assert regime_warnings(tip, image, cfg, 0.026) != ()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hamiltonian, "_h0_energies", refuse)
+            patch.setattr(hamiltonian, "np", None)
+            assert regime_warnings(tip, image, limit) == ()
+            assert regime_warnings(tip, image, math.nextafter(limit, math.inf)) != ()
 
     def test_regime_guard_uses_min_positive_gap(self):
-        _, tip, image, cfg = make_parts(3.0)
-        # smallest positive spacing of the 8-level spectrum is 0.25
-        assert regime_warnings(tip, image, cfg, 0.024) == ()
-        assert regime_warnings(tip, image, cfg, 0.026) != ()
+        _, tip, image, _ = make_parts(3.0)
+        # the coupled gaps are 1 + 0.25 and 1 - 0.25; the 0.25 between
+        # (g,g,n) and (g,e,n) is not coupled
+        assert regime_warnings(tip, image, 0.074) == ()
+        assert regime_warnings(tip, image, 0.076) == (
+            "perturbative regime: g=0.076 eV exceeds 0.1 x smallest "
+            "positive level spacing 0.75 eV",
+        )
+
+    def test_near_vacuum_sample_warns_nothing(self):
+        # at epsilon_d = 1.001 the image gap is 2.5e-7 eV, but no coupled
+        # pair of levels is that close
+        sample, tip, image, cfg = make_parts(1.001, height=1.0, kappa=0.05)
+        pair = build_hamiltonian_pair(tip, sample, cfg)
+        assert image.omega_image == pytest.approx(2.4975e-7, rel=1e-4)
+        assert pair.g > 0.1 * image.omega_image
+        assert pair.warnings == ()
 
 
 class TestModelConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             ModelConfig(n_max=0)
-        with pytest.raises(ValueError, match="photon_energy"):
-            ModelConfig(photon_energy=-1.0)
         with pytest.raises(ValueError, match="kappa"):
             ModelConfig(kappa=0.0)
 
-    @pytest.mark.parametrize("name", ["kappa", "photon_energy"])
+    @pytest.mark.parametrize("name", ["kappa"])
     def test_rejects_infinite_values(self, name):
         with pytest.raises(ValueError) as info:
             ModelConfig(**{name: math.inf})
@@ -323,9 +336,14 @@ class TestModelConfig:
                 ModelConfig(n_max=n_max)
 
     def test_resonant_default(self):
-        tip = TipDipole(omega=1.7, height_nm=1.0)
-        assert ModelConfig().resolved_photon_energy(tip) == 1.7
-        assert ModelConfig(photon_energy=0.9).resolved_photon_energy(tip) == 0.9
+        # the photon quantum is the tip gap; it is not a parameter
+        _, tip, image, cfg = make_parts(3.0, omega=1.7, n_max=3)
+        energies = build_h0(tip, image, cfg).diagonal().real
+        assert [energies[basis_index(0, 0, n, 4)] for n in range(4)] == [
+            n * 1.7 for n in range(4)
+        ]
+        with pytest.raises(TypeError):
+            ModelConfig(photon_energy=0.9)
 
     def test_basis_index_bounds(self):
         assert basis_index(1, 0, 1, 2) == 5

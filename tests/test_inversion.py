@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qsnom.errors import (
     ShiftExceedsGapError,
     UnsupportedPermittivityError,
 )
-from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
+from qsnom.hamiltonian import ModelConfig, build_hamiltonian_pair
 from qsnom.inversion import (
     SWEEP_OUTPUTS,
     ForwardResult,
@@ -85,12 +87,20 @@ class TestForward:
         with pytest.raises(ValueError, match="method"):
             forward(3.0, 0.5, 1.0, 1.0, method="exact")
 
+    def test_takes_no_photon_register_parameters(self):
+        assert list(inspect.signature(forward).parameters) == [
+            "epsilon_d", "height_nm", "omega", "kappa", "near_field_factor", "method"
+        ]
+        for name in ("n_max", "photon_energy"):
+            with pytest.raises(TypeError, match=name):
+                forward(3.0, 0.5, 1.0, 1.0, **{name: 1})
+
     def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("closed route built the Hamiltonian pair")
 
         monkeypatch.setattr(inversion, "build_hamiltonian_pair", refuse)
-        result = forward(3.0, 0.5, 1.0, 1.0, n_max=7, photon_energy=0.3)
+        result = forward(3.0, 0.5, 1.0, 1.0)
         assert result.g == pytest.approx(0.5, rel=1e-15)
         assert any("perturbative regime" in w for w in result.warnings)
 
@@ -103,21 +113,17 @@ class TestForward:
         # under half the gap, so the forward map always succeeds
         kappa_fraction=st.floats(0.01, 1.0),
         n_max=st.integers(1, 12),
-        photon=st.one_of(st.none(), st.floats(0.05, 5.0), st.just("tip")),
     )
     def test_closed_route_g_and_warnings_match_hamiltonian_pair(
-        self, epsilon_d, height_nm, omega, kappa_fraction, n_max, photon
+        self, epsilon_d, height_nm, omega, kappa_fraction, n_max
     ):
         kappa = kappa_fraction * math.sqrt((2 * height_nm) ** 3) * omega
-        photon_energy = omega if photon == "tip" else photon
-        result = forward(
-            epsilon_d, height_nm, omega, kappa,
-            n_max=n_max, photon_energy=photon_energy,
-        )
+        result = forward(epsilon_d, height_nm, omega, kappa)
+        # the photon register's size moves neither g nor the warnings
         pair = build_hamiltonian_pair(
             TipDipole(omega=omega, height_nm=height_nm),
             DielectricSample(epsilon_d),
-            ModelConfig(n_max=n_max, photon_energy=photon_energy, kappa=kappa),
+            ModelConfig(n_max=n_max, kappa=kappa),
         )
         assert result.g == pair.g
         extra = () if result.near_field_passed else result.warnings[-1:]
@@ -140,7 +146,7 @@ class TestClosedRouteRunsNoNumpy:
 
         monkeypatch.setattr(hamiltonian, "_h0_energies", refuse)
         monkeypatch.setattr(np.linalg, "norm", refuse)
-        result = forward(3.0, 0.5, 1.0, 1.0, n_max=N_MAX_LIMIT, photon_energy=0.3)
+        result = forward(3.0, 0.5, 1.0, 1.0)
         assert result.amplitude == pytest.approx(0.92, abs=1e-15)
         assert any("perturbative regime" in w for w in result.warnings)
         problem = InversionProblem(observed_omega_s=observed, **STRONG)
@@ -201,6 +207,14 @@ class TestInversion:
         with pytest.raises(OutOfBracketError, match="attainable band"):
             invert_permittivity(problem)
 
+    def test_oracle_search_out_of_budget(self):
+        observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
+        problem = InversionProblem(observed, 1.0, 1.0, 0.05, method="oracle", max_iter=1)
+        with pytest.raises(
+            NoConvergenceError, match=r"^root search used 1 iterations \(budget 1\)"
+        ):
+            invert_permittivity(problem)
+
     def test_validation(self):
         good = dict(observed_omega_s=0.8, **STRONG)
         with pytest.raises(ValueError, match="bracket"):
@@ -227,7 +241,6 @@ class TestNonFiniteInputs:
             ("height_nm", ValueError),
             ("omega", ValueError),
             ("kappa", ValueError),
-            ("photon_energy", ValueError),
         ],
     )
     @pytest.mark.parametrize("method", ["closed", "oracle"])
@@ -530,6 +543,38 @@ class TestSweepSpec:
             "epsilon_d", 1.0, 100.0, 3, spacing="log", fixed=self.FIXED
         )
         np.testing.assert_allclose(spec.values, [1.0, 10.0, 100.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, 1, 10_001])
+    def test_from_range_count_must_be_an_integer_in_range(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                SweepSpec.from_range("epsilon_d", 1.0, 5.0, count, fixed=self.FIXED)
+        assert str(info.value) == (
+            f"count must be an integer in 2..10000, got {count!r}"
+        )
+
+    def test_from_range_takes_an_integral_float_count(self):
+        spec = SweepSpec.from_range("epsilon_d", 1.0, 3.0, 3.0, fixed=self.FIXED)
+        assert spec.values == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (math.inf, "near_field_factor must be finite, got inf"),
+            (0.0, "near_field_factor must be positive, got 0.0"),
+            (math.nan, "near_field_factor must be positive, got nan"),
+        ],
+    )
+    def test_near_field_factor_checked_once(self, factor, message):
+        with pytest.raises(ValueError) as info:
+            SweepSpec("epsilon_d", (1.0, 2.0), self.FIXED, near_field_factor=factor)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            SweepSpec.from_range(
+                "epsilon_d", 1.0, 5.0, 4, fixed=self.FIXED, near_field_factor=factor
+            )
+        assert str(info.value) == message
 
     def test_from_range_validation(self):
         with pytest.raises(ValueError, match="spacing"):
