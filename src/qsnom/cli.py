@@ -282,14 +282,22 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
     If the block raises, the new file is removed and ``path`` keeps its
     old content. The new file gets the permissions a plain ``open``
-    would give it.
+    would give it. An ``OSError`` from creating or renaming the new file
+    names ``path``, since the new file's random name means nothing to
+    the caller once it is gone.
     """
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

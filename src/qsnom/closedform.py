@@ -109,8 +109,7 @@ class ScatteredPhotonReport:
 def _check_inputs(height_nm: float, alpha: float, omega: float, kappa: float) -> None:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    _positive_finite("omega", omega)
-    _positive_finite("height_nm", height_nm)
+    _positive_finite(omega=omega, height_nm=height_nm)
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")
 
@@ -136,20 +135,35 @@ def beta_coefficients(
         If ``|1 - alpha^2| < 1e-9`` while a mixed amplitude is nonzero.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
+    return BetaCoefficients(
+        *_betas(a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa)
+    )
+
+
+def _betas(
+    a1: float,
+    a2: float,
+    a3: float,
+    a4: float,
+    height_nm: float,
+    alpha: float,
+    omega: float,
+    kappa: float,
+) -> tuple[float, float, float, float]:
     mixed_gap = 1.0 - alpha * alpha
-    if abs(mixed_gap) < DENOMINATOR_TOL and (a.a2 != 0 or a.a4 != 0):
+    if abs(mixed_gap) < DENOMINATOR_TOL and (a2 != 0 or a4 != 0):
         raise DegenerateDenominatorError(
             f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
-            f" nonzero mixed amplitudes (a2={a.a2!r}, a4={a.a4!r})"
+            f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
         )
     pref = (kappa * alpha) ** 2 / (2.0 * (2.0 * height_nm) ** 3)
     d_sum = (omega * (1.0 + alpha * alpha)) ** 2
     d_diff = (omega * mixed_gap) ** 2
-    return BetaCoefficients(
-        a.a1 - pref * a.a1**2 / d_sum,
-        a.a2 - pref * a.a2**2 / d_diff,
-        a.a3 - pref * a.a3**2 / d_sum,
-        a.a4 - pref * a.a4**2 / d_diff,
+    return (
+        a1 - pref * a1**2 / d_sum,
+        a2 - pref * a2**2 / d_diff,
+        a3 - pref * a3**2 / d_sum,
+        a4 - pref * a4**2 / d_diff,
     )
 
 
@@ -188,6 +202,12 @@ def energy_shift(
     between the two routes instead of reconciling them.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
+    return _shift(a1, height_nm, alpha, omega, kappa)
+
+
+def _shift(
+    a1: float, height_nm: float, alpha: float, omega: float, kappa: float
+) -> float:
     shift = -(a1**2) * (kappa * alpha) ** 2 / (
         (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
     )
@@ -203,7 +223,11 @@ def scattered_frequency(omega: float, delta_e: float) -> float:
         If the shift magnitude reaches the bare gap, which would drive
         the emitted frequency to zero or below.
     """
-    _positive_finite("omega", omega)
+    _positive_finite(omega=omega)
+    return _emitted(omega, delta_e)
+
+
+def _emitted(omega: float, delta_e: float) -> float:
     shift = abs(delta_e)
     if shift >= omega:
         raise ShiftExceedsGapError(
@@ -226,13 +250,30 @@ def photon_report(
     coupling strong enough to overflow that norm fails as
     :class:`ShiftExceedsGapError` instead.
     """
-    beta = beta_coefficients(a, height_nm, alpha, omega, kappa)
-    delta = energy_shift(a.a1, height_nm, alpha, omega, kappa)
-    omega_s = scattered_frequency(omega, delta)
-    amp = scattered_amplitude(beta)
+    _check_inputs(height_nm, alpha, omega, kappa)
+    amp, delta, omega_s = _photon(
+        a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa
+    )
     return ScatteredPhotonReport(
         amplitude=amp,
         probability_weight=amp * amp,
         delta_e=delta,
         omega_s=omega_s,
     )
+
+
+def _photon(
+    a1: float,
+    a2: float,
+    a3: float,
+    a4: float,
+    height_nm: float,
+    alpha: float,
+    omega: float,
+    kappa: float,
+) -> tuple[float, float, float]:
+    """``||beta||``, the shift and the emitted frequency, from checked inputs."""
+    beta = _betas(a1, a2, a3, a4, height_nm, alpha, omega, kappa)
+    delta = _shift(a1, height_nm, alpha, omega, kappa)
+    omega_s = _emitted(omega, delta)
+    return math.hypot(*beta), delta, omega_s

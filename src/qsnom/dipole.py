@@ -27,12 +27,65 @@ __all__ = [
 HBAR_C_EV_NM = 197.3269804
 
 
-def _positive_finite(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive (nan is not) and finite."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _positive_finite(**values: float) -> None:
+    """Raise ``ValueError`` unless each value is positive (nan is not) and finite.
+
+    The values are checked in the order given, and the error names the
+    first one that fails.
+    """
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _alpha(epsilon_d: float) -> float:
+    """Electrostatic image response (eps - 1) / (eps + 1)."""
+    return (epsilon_d - 1.0) / (epsilon_d + 1.0)
+
+
+def _epsilon(value: float) -> float:
+    """Return ``value`` as a float permittivity whose alpha lies in [0, 1).
+
+    Raises :class:`UnsupportedPermittivityError` for a value below 1, nan,
+    inf, or one so large that alpha rounds to 1 (somewhere past 2**53).
+    """
+    eps = float(value)
+    if not eps >= 1.0:
+        raise UnsupportedPermittivityError(f"epsilon_d must be >= 1, got {eps!r}")
+    if eps == math.inf:
+        raise UnsupportedPermittivityError(f"epsilon_d must be finite, got {eps!r}")
+    if _alpha(eps) >= 1.0:
+        raise UnsupportedPermittivityError(
+            "epsilon_d must be small enough that"
+            " alpha = (epsilon_d - 1)/(epsilon_d + 1) rounds below 1,"
+            f" got {eps!r}"
+        )
+    return eps
+
+
+def _image_gap(alpha: float, omega: float) -> float:
+    """Image gap: the tip gap scaled by alpha squared."""
+    return alpha * alpha * omega
+
+
+def _near_field_ratio(separation: float, omega: float, omega_image: float) -> float:
+    """Separation over the shorter reduced wavelength of the two gaps.
+
+    A zero image gap has no wavelength. A ratio that overflows raises
+    ``OverflowError``.
+    """
+    shortest = HBAR_C_EV_NM / omega
+    if omega_image > 0 and HBAR_C_EV_NM / omega_image < shortest:
+        shortest = HBAR_C_EV_NM / omega_image
+    ratio = separation / shortest
+    if ratio == math.inf:
+        raise OverflowError(
+            f"near-field ratio overflows: separation {separation!r} nm"
+            f" over reduced wavelength {shortest!r} nm"
+        )
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -42,19 +95,12 @@ class DielectricSample:
     epsilon_d: float
 
     def __post_init__(self) -> None:
-        eps = float(self.epsilon_d)
-        if not eps >= 1.0:
-            raise UnsupportedPermittivityError(
-                f"epsilon_d must be >= 1, got {eps!r}"
-            )
-        if eps == math.inf:
-            raise UnsupportedPermittivityError(f"epsilon_d must be finite, got {eps!r}")
-        object.__setattr__(self, "epsilon_d", eps)
+        object.__setattr__(self, "epsilon_d", _epsilon(self.epsilon_d))
 
     @property
     def alpha(self) -> float:
         """Electrostatic image response (eps - 1) / (eps + 1), in [0, 1)."""
-        return (self.epsilon_d - 1.0) / (self.epsilon_d + 1.0)
+        return _alpha(self.epsilon_d)
 
 
 @dataclass(frozen=True)
@@ -65,8 +111,7 @@ class TipDipole:
     height_nm: float
 
     def __post_init__(self) -> None:
-        for name in ("omega", "height_nm"):
-            _positive_finite(name, getattr(self, name))
+        _positive_finite(omega=self.omega, height_nm=self.height_nm)
 
     @property
     def separation(self) -> float:
@@ -105,8 +150,7 @@ def derive_image(tip: TipDipole, sample: DielectricSample) -> ImageDipole:
 
     The image gap is the tip gap scaled by alpha squared.
     """
-    a = sample.alpha
-    return ImageDipole(omega_image=a * a * tip.omega)
+    return ImageDipole(omega_image=_image_gap(sample.alpha, tip.omega))
 
 
 def near_field_check(
@@ -122,15 +166,6 @@ def near_field_check(
     attach it to run metadata and continue. A ratio that overflows
     raises ``OverflowError``.
     """
-    _positive_finite("factor", factor)
-    gaps = [tip.omega]
-    if image.omega_image > 0:
-        gaps.append(image.omega_image)
-    shortest = min(HBAR_C_EV_NM / e for e in gaps)
-    ratio = tip.separation / shortest
-    if ratio == math.inf:
-        raise OverflowError(
-            f"near-field ratio overflows: separation {tip.separation!r} nm"
-            f" over reduced wavelength {shortest!r} nm"
-        )
+    _positive_finite(factor=factor)
+    ratio = _near_field_ratio(tip.separation, tip.omega, image.omega_image)
     return NearFieldReport(passed=ratio < factor, ratio=ratio, factor=factor)

@@ -62,7 +62,7 @@ class ModelConfig:
                 f"n_max must be an integer in 1..{N_MAX_LIMIT}, got {self.n_max!r}"
             )
         object.__setattr__(self, "n_max", int(self.n_max))
-        _positive_finite("kappa", self.kappa)
+        _positive_finite(kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,12 @@ def coupling_constant(
     cfg: ModelConfig,
 ) -> float:
     """Dipole-dipole coupling g = kappa * alpha / (2R)^3 in eV."""
-    return cfg.kappa * sample.alpha / tip.separation**3
+    return _coupling(cfg.kappa, sample.alpha, tip.separation)
+
+
+def _coupling(kappa: float, alpha: float, separation: float) -> float:
+    # (2R)**3 raises OverflowError where the cube overflows
+    return kappa * alpha / separation**3
 
 
 def _h0_energies(
@@ -166,7 +171,11 @@ def regime_warnings(
     when ``g`` exceeds a tenth of it; the build itself never fails on
     this.
     """
-    spacing = abs(tip.omega - image.omega_image)
+    return _regime_warnings(tip.omega, image.omega_image, g)
+
+
+def _regime_warnings(omega: float, omega_image: float, g: float) -> tuple[str, ...]:
+    spacing = abs(omega - omega_image)
     if g > 0.1 * spacing:
         return (
             f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "

@@ -23,6 +23,10 @@ from . import closedform
 from .dipole import (
     DielectricSample,
     TipDipole,
+    _alpha,
+    _epsilon,
+    _image_gap,
+    _near_field_ratio,
     _positive_finite,
     derive_image,
     near_field_check,
@@ -30,10 +34,10 @@ from .dipole import (
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
 from .hamiltonian import (
     ModelConfig,
+    _coupling,
+    _regime_warnings,
     basis_index,
     build_hamiltonian_pair,
-    coupling_constant,
-    regime_warnings,
 )
 from .perturbation import rs_pt2
 
@@ -67,11 +71,8 @@ SWEEP_OUTPUTS = (
     "near_field_ratio",
 )
 
-# the closed route's initial state, built once rather than per call
-_GROUND_STATE = closedform.InitialCoefficients.ground_state()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardResult:
     """Scattered-photon observables at one parameter point.
 
@@ -113,17 +114,17 @@ class InversionProblem:
             )
         if hi == math.inf:
             raise ValueError(f"bracket must be finite, got ({lo!r}, {hi!r})")
-        _positive_finite("tol_rel", self.tol_rel)
+        _positive_finite(tol_rel=self.tol_rel)
         n = self.max_iter
         if not (n >= 1 and n != math.inf and int(n) == n):
             raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
         object.__setattr__(self, "max_iter", int(n))
         if self.method not in ("closed", "oracle"):
             raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
-        _positive_finite("observed_omega_s", self.observed_omega_s)
+        _positive_finite(observed_omega_s=self.observed_omega_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversionResult:
     """Recovered permittivity with the search diagnostics."""
 
@@ -144,57 +145,54 @@ def forward(
 
     ``method`` selects the closed-form route (default) or the numeric
     second-order route for comparison studies. Only the numeric route
-    builds the (H0, coupling) matrices; the closed route computes ``g``
-    and the regime check from scalars. Regime and near-field violations
-    are returned as warnings, never raised.
+    builds the value objects and the (H0, coupling) matrices; the closed
+    route makes the same checks in the same order on the scalars, then
+    evaluates ``g``, the regime check and the closed form directly.
+    Regime and near-field violations are returned as warnings, never
+    raised.
     """
-    if method not in ("closed", "oracle"):
-        raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
-    sample = DielectricSample(epsilon_d)
-    tip = TipDipole(omega=omega, height_nm=height_nm)
-    image = derive_image(tip, sample)
-    cfg = ModelConfig(kappa=kappa)
-    field_report = near_field_check(tip, image, near_field_factor)
-
     if method == "closed":
-        g = coupling_constant(tip, sample, cfg)
-        warnings = list(regime_warnings(tip, image, g))
-        report = closedform.photon_report(
-            _GROUND_STATE,
-            height_nm,
-            sample.alpha,
-            omega,
-            kappa,
+        epsilon_d = _epsilon(epsilon_d)
+        _positive_finite(
+            omega=omega, height_nm=height_nm, kappa=kappa, factor=near_field_factor
         )
-        delta_e = report.delta_e
-        omega_s = report.omega_s
-        amplitude = report.amplitude
-    else:
+        alpha = _alpha(epsilon_d)
+        separation = 2.0 * height_nm
+        omega_image = _image_gap(alpha, omega)
+        ratio = _near_field_ratio(separation, omega, omega_image)
+        g = _coupling(kappa, alpha, separation)
+        warnings = _regime_warnings(omega, omega_image, g)
+        # from the ground state |g, g>
+        amplitude, delta_e, omega_s = closedform._photon(
+            1.0, 0.0, 0.0, 0.0, height_nm, alpha, omega, kappa
+        )
+    elif method == "oracle":
+        sample = DielectricSample(epsilon_d)
+        tip = TipDipole(omega=omega, height_nm=height_nm)
+        image = derive_image(tip, sample)
+        cfg = ModelConfig(kappa=kappa)
+        ratio = near_field_check(tip, image, near_field_factor).ratio
         pair = build_hamiltonian_pair(tip, sample, cfg)
-        g = pair.g
-        warnings = list(pair.warnings)
+        epsilon_d, alpha = sample.epsilon_d, sample.alpha
+        g, warnings = pair.g, pair.warnings
         index = basis_index(0, 0, 1, cfg.n_max + 1)
         result = rs_pt2(pair.h0, pair.delta_h, index)
         delta_e = result.e2
         omega_s = closedform.scattered_frequency(omega, delta_e)
         amplitude = float(np.real(result.normalized_coefficients[index]))
+    else:
+        raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
 
-    if not field_report.passed:
-        warnings.append(
+    passed = ratio < near_field_factor
+    if not passed:
+        warnings += (
             f"near-field check failed: separation/wavelength ratio "
-            f"{field_report.ratio:.6g} is not below factor {field_report.factor:g}"
+            f"{ratio:.6g} is not below factor {near_field_factor:g}",
         )
 
+    # positional: on the closed route's hot path keywords cost measurably more
     return ForwardResult(
-        epsilon_d=sample.epsilon_d,
-        alpha=sample.alpha,
-        g=g,
-        delta_e=delta_e,
-        omega_s=omega_s,
-        amplitude=amplitude,
-        near_field_ratio=field_report.ratio,
-        near_field_passed=field_report.passed,
-        warnings=tuple(warnings),
+        epsilon_d, alpha, g, delta_e, omega_s, amplitude, ratio, passed, warnings
     )
 
 
@@ -237,22 +235,19 @@ def _band_edge(
 def _invert_closed(problem: InversionProblem) -> InversionResult:
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
-    # the geometry checks forward makes, so invalid inputs keep their class
-    TipDipole(omega=omega, height_nm=height)
-    ModelConfig(kappa=kappa)
+    # the geometry checks forward makes, in its order, so invalid inputs
+    # keep their class
+    _positive_finite(omega=omega, height_nm=height, kappa=kappa)
 
-    def delta_e(eps: float) -> float:
-        alpha = DielectricSample(eps).alpha
-        return closedform.energy_shift(1.0, height, alpha, omega, kappa)
-
-    top = closedform.scattered_frequency(omega, delta_e(lo))
-    delta_hi = delta_e(hi)
+    delta_lo = closedform._shift(1.0, height, _alpha(_epsilon(lo)), omega, kappa)
+    top = closedform._emitted(omega, delta_lo)
+    delta_hi = closedform._shift(1.0, height, _alpha(_epsilon(hi)), omega, kappa)
     if abs(delta_hi) >= omega:
         # the shift reaches the gap inside the bracket: the band ends
         # at zero frequency, not at the bracket top
         bottom = 0.0
     else:
-        bottom = closedform.scattered_frequency(omega, delta_hi)
+        bottom = closedform._emitted(omega, delta_hi)
     edge = _band_edge(problem, top, bottom)
     if edge is not None:
         return edge
@@ -273,7 +268,7 @@ def _invert_closed(problem: InversionProblem) -> InversionResult:
             f"closed-form inverse left residual {residual:.3e} eV"
             f" against tolerance {tol_abs:.3e} eV"
         )
-    return InversionResult(epsilon_d=epsilon_d, iterations=0, residual=residual)
+    return InversionResult(epsilon_d, 0, residual)
 
 
 def _invert_by_search(problem: InversionProblem) -> InversionResult:
@@ -383,7 +378,7 @@ class SweepSpec:
                 f" valid columns: {SWEEP_OUTPUTS}"
             )
         object.__setattr__(self, "outputs", outputs)
-        _positive_finite("near_field_factor", self.near_field_factor)
+        _positive_finite(near_field_factor=self.near_field_factor)
 
     @classmethod
     def from_range(

@@ -130,6 +130,15 @@ class TestExitCodes:
         assert code == EXIT_MODEL
         assert "model error" in capsys.readouterr().err
 
+    def test_permittivity_whose_alpha_rounds_to_one(self, capsys):
+        code = main(["simulate", "--set", "epsilon_d=1e17"])
+        assert code == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            "model error: UnsupportedPermittivityError: epsilon_d must be small"
+            " enough that alpha = (epsilon_d - 1)/(epsilon_d + 1) rounds below 1,"
+            " got 1e+17\n"
+        )
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "table.csv"
         code = main(["sweep", "--set", "sweep_axis=epsilon_d",
@@ -356,6 +365,22 @@ class TestAtomicWrites:
         )
         if old is not None:
             assert out.read_bytes() == old
+
+    def test_failed_rename_names_the_destination(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        (tmp_path / "r.meta").mkdir()
+        assert main(["simulate", "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 21] Is a directory: {str(tmp_path / 'r.meta')!r}\n"
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.meta"]
+
+    def test_failed_open_names_the_destination(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.txt"
+        assert main(["simulate", "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_file_has_plain_open_permissions(self, tmp_path, capsys):
         reference = tmp_path / "reference.txt"
@@ -609,7 +634,13 @@ class TestOracleCheck:
     def test_plain_error_at_one_point_is_recorded(self, tmp_path, capsys):
         for second, eps_cell, alpha_cell, error in (
             # alpha rounds to 1 above epsilon_d ~ 1e16, which the sample rejects
-            ("1e17", "1e+17", "1", "ValueError: alpha must lie in [0, 1), got 1.0"),
+            (
+                "1e17",
+                "1e+17",
+                "1",
+                "UnsupportedPermittivityError: epsilon_d must be small enough that"
+                " alpha = (epsilon_d - 1)/(epsilon_d + 1) rounds below 1, got 1e+17",
+            ),
             # alpha = (eps - 1) / (eps + 1) has no value at eps = -1
             (
                 "-1",
@@ -632,7 +663,7 @@ class TestOracleCheck:
     @pytest.mark.parametrize(
         "override, error",
         [
-            ("oracle_epsilon_values=1e17,1e18", "ValueError: alpha must lie"),
+            ("oracle_epsilon_values=1e17,1e18", "UnsupportedPermittivityError: "),
             ("kappa=1e300", "OverflowError: "),
             ("oracle_heights_nm=1e-300,1", "ZeroDivisionError: "),
             ("oracle_epsilon_values=-1", "UnsupportedPermittivityError: "),

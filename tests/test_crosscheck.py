@@ -7,8 +7,16 @@ import pytest
 
 import qsnom.crosscheck
 import qsnom.perturbation
+from qsnom.closedform import energy_shift
 from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
-from qsnom.hamiltonian import N_MAX_LIMIT
+from qsnom.dipole import DielectricSample, TipDipole
+from qsnom.hamiltonian import (
+    N_MAX_LIMIT,
+    ModelConfig,
+    basis_index,
+    build_hamiltonian_pair,
+)
+from qsnom.perturbation import rs_pt2
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
 
@@ -188,3 +196,58 @@ class TestFootprint:
             f"{report.closed_height_exponent:.6g} vs numeric exponent "
             f"{report.oracle_height_exponent:.6g}",
         )
+
+
+# R from 0.3 to 7.5 nm, epsilon_d from 1.001 to 1e4, three kappas, three gaps
+IDENTITY_GRID = [
+    (height, eps, kappa, omega)
+    for height in (0.3, 0.5, 1.0, 2.0, 4.0, 7.5)
+    for eps in (1.001, 1.1, 2.0, 3.0, 11.7, 50.0, 100.0, 1e3, 1e4)
+    for kappa in (0.05, 0.3, 1.0)
+    for omega in (0.5, 1.0, 2.0)
+]
+
+
+def oracle_shift(height, eps, kappa, omega):
+    """Second-order shift of the reference level |g, g, 1> on the register."""
+    tip = TipDipole(omega=omega, height_nm=height)
+    sample = DielectricSample(eps)
+    pair = build_hamiltonian_pair(tip, sample, ModelConfig(kappa=kappa))
+    return rs_pt2(pair.h0, pair.delta_h, basis_index(0, 0, 1, 2)).e2, pair.g
+
+
+def worst_relative_error(pairs):
+    """Largest |a - b| / |a| over (a, b, point) triples, with its point."""
+    return max((abs(a - b) / abs(a), point) for a, b, point in pairs)
+
+
+class TestRouteIdentities:
+    """The two routes differ by an exact factor; pinned at a few ulp.
+
+    These measure the disagreement between the routes, which stays
+    reported and is never patched.
+    """
+
+    def test_closed_shift_is_oracle_shift_times_separation_cubed(self):
+        pairs = []
+        for height, eps, kappa, omega in IDENTITY_GRID:
+            alpha = DielectricSample(eps).alpha
+            closed = energy_shift(1.0, height, alpha, omega, kappa)
+            oracle, _ = oracle_shift(height, eps, kappa, omega)
+            pairs.append(
+                (closed, oracle * (2.0 * height) ** 3, (height, eps, kappa, omega))
+            )
+        assert len(pairs) == 486
+        error, point = worst_relative_error(pairs)
+        assert error <= 1e-15, point
+
+    def test_oracle_shift_is_minus_g_squared_over_the_sum_gap(self):
+        pairs = []
+        for height, eps, kappa, omega in IDENTITY_GRID:
+            alpha = DielectricSample(eps).alpha
+            oracle, g = oracle_shift(height, eps, kappa, omega)
+            pairs.append(
+                (oracle, -g * g / (omega * (1.0 + alpha * alpha)), (height, eps, kappa, omega))
+            )
+        error, point = worst_relative_error(pairs)
+        assert error <= 1e-15, point

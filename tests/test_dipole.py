@@ -47,6 +47,21 @@ class TestSampleResponse:
                 DielectricSample(eps)
             assert str(info.value) == f"epsilon_d must be >= 1, got {text}"
 
+    @pytest.mark.parametrize("eps", [9007263183593752.0, 1.8014398509481984e16, 1e17, 1e300])
+    def test_rejects_permittivity_whose_alpha_rounds_to_one(self, eps):
+        assert (eps - 1.0) / (eps + 1.0) == 1.0
+        with pytest.raises(UnsupportedPermittivityError) as info:
+            DielectricSample(eps)
+        assert str(info.value) == (
+            "epsilon_d must be small enough that alpha = (epsilon_d - 1)/(epsilon_d + 1)"
+            f" rounds below 1, got {eps!r}"
+        )
+
+    def test_accepts_the_largest_permittivities_below_the_limit(self):
+        # between 2**53 and 2**54 alpha rounds to 1 for some values only
+        for eps in (2.0**53, 9007199254740994.0, 1.801388259769733e16):
+            assert DielectricSample(eps).alpha < 1.0
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=1.0, max_value=1e6),

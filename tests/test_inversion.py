@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qsnom import hamiltonian, inversion
-from qsnom.dipole import DielectricSample, TipDipole
+from qsnom import closedform, hamiltonian, inversion
+from qsnom.dipole import DielectricSample, TipDipole, derive_image, near_field_check
 from qsnom.errors import (
     NoConvergenceError,
     OutOfBracketError,
@@ -153,6 +153,46 @@ class TestClosedRouteRunsNoNumpy:
         assert invert_permittivity(problem).epsilon_d == pytest.approx(11.7, rel=1e-12)
         assert run_sweep(spec) == rows
         assert [row["error"] for row in rows] == ["", "", ""]
+
+
+class TestClosedRouteFromScalars:
+    """The closed route builds no value object and checks each input once."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = inversion._positive_finite
+
+        def recording(**values):
+            calls.append(tuple(values))
+            return real(**values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route built a value object")
+
+        monkeypatch.setattr(inversion, "_positive_finite", recording)
+        monkeypatch.setattr(closedform, "_positive_finite", recording)
+        for name in (
+            "DielectricSample", "TipDipole", "derive_image", "near_field_check", "ModelConfig"
+        ):
+            monkeypatch.setattr(inversion, name, refuse)
+        monkeypatch.setattr(closedform, "photon_report", refuse)
+        return calls
+
+    def test_forward(self, checks):
+        assert forward(3.0, 0.5, 1.0, 1.0).amplitude == pytest.approx(0.92, abs=1e-15)
+        assert checks == [("omega", "height_nm", "kappa", "factor")]
+
+    def test_inverse(self, checks):
+        observed = 0.8  # the shift at epsilon_d = 3 is 0.2 eV
+        problem = InversionProblem(observed_omega_s=observed, **STRONG)
+        checks.clear()  # tol_rel and observed_omega_s, checked at construction
+        assert invert_permittivity(problem).epsilon_d == pytest.approx(3.0, rel=1e-12)
+        # the inverse's own geometry check, then the one forward at the answer
+        assert checks == [
+            ("omega", "height_nm", "kappa"),
+            ("omega", "height_nm", "kappa", "factor"),
+        ]
 
 
 class TestInversion:
@@ -320,6 +360,33 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError) as info:
                 InversionProblem(**dict(good, **changes))
             assert str(info.value) == text
+
+
+class TestPermittivityWhoseAlphaRoundsToOne:
+    """Both routes refuse an epsilon_d whose alpha rounds to 1, the same way."""
+
+    @pytest.mark.parametrize("eps", [9007263183593752.0, 1e17])
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_forward(self, method, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                UnsupportedPermittivityError, match=r"^epsilon_d must be small enough"
+            ) as info:
+                forward(eps, 1.0, 1.0, 0.05, method=method)
+        assert str(info.value).endswith(f"got {eps!r}")
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_bracket_top(self, method):
+        problem = InversionProblem(0.9, 1.0, 1.0, 0.05, bracket=(2.0, 1e17), method=method)
+        with pytest.raises(UnsupportedPermittivityError, match=r"got 1e\+17$"):
+            invert_permittivity(problem)
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_largest_accepted_permittivity_runs(self, method):
+        result = forward(2.0**53, 1.0, 1.0, 0.05, method=method)
+        assert result.alpha < 1.0
+        assert math.isfinite(result.omega_s)
 
 
 class TestBandFloorAtTheGap:
@@ -691,3 +758,158 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert rows[0]["warnings"] == ""
         assert "perturbative regime" in rows[1]["warnings"]
+
+
+def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
+    """The closed forward map spelled with the public pieces, step by step."""
+    sample = DielectricSample(epsilon_d)
+    tip = TipDipole(omega=omega, height_nm=height_nm)
+    image = derive_image(tip, sample)
+    cfg = ModelConfig(kappa=kappa)
+    field = near_field_check(tip, image, near_field_factor)
+    g = hamiltonian.coupling_constant(tip, sample, cfg)
+    warns = list(hamiltonian.regime_warnings(tip, image, g))
+    report = closedform.photon_report(
+        closedform.InitialCoefficients.ground_state(),
+        height_nm,
+        sample.alpha,
+        omega,
+        kappa,
+    )
+    if not field.passed:
+        warns.append(
+            f"near-field check failed: separation/wavelength ratio "
+            f"{field.ratio:.6g} is not below factor {field.factor:g}"
+        )
+    return ForwardResult(
+        epsilon_d=sample.epsilon_d,
+        alpha=sample.alpha,
+        g=g,
+        delta_e=report.delta_e,
+        omega_s=report.omega_s,
+        amplitude=report.amplitude,
+        near_field_ratio=field.ratio,
+        near_field_passed=field.passed,
+        warnings=tuple(warns),
+    )
+
+
+def composed_inverse(problem):
+    """The closed inverse spelled with the public pieces and ``composed_forward``."""
+    lo, hi = problem.bracket
+    height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
+    TipDipole(omega=omega, height_nm=height)
+    ModelConfig(kappa=kappa)
+
+    def delta_e(eps):
+        alpha = DielectricSample(eps).alpha
+        return closedform.energy_shift(1.0, height, alpha, omega, kappa)
+
+    top = closedform.scattered_frequency(omega, delta_e(lo))
+    delta_hi = delta_e(hi)
+    if abs(delta_hi) >= omega:
+        bottom = 0.0
+    else:
+        bottom = closedform.scattered_frequency(omega, delta_hi)
+    edge = inversion._band_edge(problem, top, bottom)
+    if edge is not None:
+        return edge
+    observed = problem.observed_omega_s
+    shift = omega - observed
+    c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+    a = math.sqrt(shift / (c - shift))
+    epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
+    residual = abs(composed_forward(epsilon_d, height, omega, kappa).omega_s - observed)
+    tol_abs = problem.tol_rel * omega
+    if residual >= tol_abs:
+        raise NoConvergenceError(
+            f"closed-form inverse left residual {residual:.3e} eV"
+            f" against tolerance {tol_abs:.3e} eV"
+        )
+    return inversion.InversionResult(epsilon_d=epsilon_d, iterations=0, residual=residual)
+
+
+def strict_outcome(call):
+    """``outcome`` with warnings raised as errors; results compare by repr.
+
+    ``repr`` round-trips floats, so equal reprs are equal bits (nan and
+    the sign of zero included).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = outcome(call)
+    return result if isinstance(result, tuple) else repr(result)
+
+
+EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan)
+
+
+def extreme_or(strategy):
+    return st.one_of(st.sampled_from(EXTREMES), strategy)
+
+
+class TestClosedRouteParity:
+    """The closed route equals the composition of its public pieces, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4), st.floats(1.0, 1e16)),
+        height_nm=st.floats(0.05, 1e4),
+        omega=st.floats(1e-3, 10.0),
+        kappa=st.floats(1e-4, 10.0),
+        near_field_factor=st.floats(1e-3, 10.0),
+    )
+    def test_forward(self, epsilon_d, height_nm, omega, kappa, near_field_factor):
+        args = (epsilon_d, height_nm, omega, kappa, near_field_factor)
+        assert strict_outcome(lambda: forward(*args)) == strict_outcome(
+            lambda: composed_forward(*args)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon_d=extreme_or(st.floats(1.0, 1e4)),
+        height_nm=extreme_or(st.floats(0.05, 10.0)),
+        omega=extreme_or(st.floats(1e-3, 10.0)),
+        kappa=extreme_or(st.floats(1e-4, 10.0)),
+        near_field_factor=extreme_or(st.just(0.1)),
+    )
+    def test_forward_at_extremes(self, epsilon_d, height_nm, omega, kappa, near_field_factor):
+        args = (epsilon_d, height_nm, omega, kappa, near_field_factor)
+        assert strict_outcome(lambda: forward(*args)) == strict_outcome(
+            lambda: composed_forward(*args)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon_d=st.floats(1.0, 1e4),
+        offset=st.sampled_from((0.0, 1e-12, -1e-12, 1e-3, -1e-3, 0.5)),
+        **GEOMETRY,
+    )
+    def test_inverse(self, epsilon_d, offset, height_nm, omega, kappa_fraction):
+        kappa = kappa_for(kappa_fraction, height_nm, omega)
+        try:
+            observed = forward(epsilon_d, height_nm, omega, kappa).omega_s
+        except ShiftExceedsGapError:
+            observed = 0.5 * omega
+        assume(observed + offset * omega > 0)
+        problem = InversionProblem(observed + offset * omega, height_nm, omega, kappa)
+        assert strict_outcome(lambda: invert_permittivity(problem)) == strict_outcome(
+            lambda: composed_inverse(problem)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        observed=extreme_or(st.floats(1e-3, 2.0)),
+        height_nm=extreme_or(st.floats(0.05, 10.0)),
+        omega=extreme_or(st.floats(1e-3, 10.0)),
+        kappa=extreme_or(st.floats(1e-4, 10.0)),
+        hi=st.sampled_from((1e6, 1e16, 1e17, 1e300)),
+    )
+    def test_inverse_at_extremes(self, observed, height_nm, omega, kappa, hi):
+        try:
+            problem = InversionProblem(observed, height_nm, omega, kappa, bracket=(1.5, hi))
+        except ValueError:
+            assume(False)
+        assert strict_outcome(lambda: invert_permittivity(problem)) == strict_outcome(
+            lambda: composed_inverse(problem)
+        )
