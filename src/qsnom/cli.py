@@ -215,7 +215,12 @@ def _fmt(value: object) -> str:
 
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key=value file; '#' starts a comment."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     entries: dict[str, str] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

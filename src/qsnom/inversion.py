@@ -6,7 +6,8 @@ measured frequency inside the attainable band pins the permittivity
 down uniquely. On the closed route the shift has the form
 ``s = c x / (1 + x)`` with ``x = alpha^2`` and
 ``c = kappa^2 / ((2R)^3 omega)``, so recovery inverts it in closed form
-(``iterations = 0``) and checks the answer with one forward evaluation.
+(``iterations = 0``) and checks the answer with the scalar forward map
+it inverts.
 The oracle route recovers by a bracketed derivative-free root search.
 """
 
@@ -232,6 +233,18 @@ def _band_edge(
     return None
 
 
+def _closed_shift(
+    epsilon_d: float, height_nm: float, omega: float, kappa: float
+) -> float:
+    """The closed route's ground-state shift, from checked inputs.
+
+    Through :func:`closedform._emitted` this is the arithmetic
+    :func:`forward` runs for ``omega_s``, without the observables the
+    inverse does not read.
+    """
+    return closedform._shift(1.0, height_nm, _alpha(epsilon_d), omega, kappa)
+
+
 def _invert_closed(problem: InversionProblem) -> InversionResult:
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
@@ -239,9 +252,8 @@ def _invert_closed(problem: InversionProblem) -> InversionResult:
     # keep their class
     _positive_finite(omega=omega, height_nm=height, kappa=kappa)
 
-    delta_lo = closedform._shift(1.0, height, _alpha(_epsilon(lo)), omega, kappa)
-    top = closedform._emitted(omega, delta_lo)
-    delta_hi = closedform._shift(1.0, height, _alpha(_epsilon(hi)), omega, kappa)
+    top = closedform._emitted(omega, _closed_shift(_epsilon(lo), height, omega, kappa))
+    delta_hi = _closed_shift(_epsilon(hi), height, omega, kappa)
     if abs(delta_hi) >= omega:
         # the shift reaches the gap inside the bracket: the band ends
         # at zero frequency, not at the bracket top
@@ -261,7 +273,8 @@ def _invert_closed(problem: InversionProblem) -> InversionResult:
     # a rounds to 1 only for a bracket top next to the metallic limit
     epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
 
-    residual = abs(forward(epsilon_d, height, omega, kappa).omega_s - observed)
+    delta = _closed_shift(epsilon_d, height, omega, kappa)
+    residual = abs(closedform._emitted(omega, delta) - observed)
     tol_abs = problem.tol_rel * omega
     if residual >= tol_abs:
         raise NoConvergenceError(
@@ -325,9 +338,10 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     where the shift reaches the gap inside the bracket. Inside the band
     the closed route inverts the shift in closed form and reports
     ``iterations = 0``; the oracle route runs a bracketed root search
-    with a hard iteration budget of ``max_iter``. Either way one more
-    forward evaluation at the answer gives the returned residual, and
-    :class:`NoConvergenceError` is raised if it is not below
+    with a hard iteration budget of ``max_iter``. Either way the forward
+    map's ``omega_s`` at the answer gives the returned residual (on the
+    closed route its scalar arithmetic, not a whole :func:`forward`
+    call), and :class:`NoConvergenceError` is raised if it is not below
     ``tol_rel * omega``.
     """
     if problem.method == "closed":

@@ -105,6 +105,26 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="epsilon_d must be finite"):
             resolve_config(read_config_file(path), {})
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("sweep_values", ",", "sweep_values must list at least one number, got ','"),
+            ("sweep_outputs", ",", "sweep_outputs must list at least one name, got ','"),
+        ],
+    )
+    def test_empty_list_rejected(self, key, raw, message):
+        with pytest.raises(ConfigError) as info:
+            resolve_config({}, {key: raw})
+        assert str(info.value) == message
+
+    def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"kappa=\xff\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {path}: not UTF-8 text: invalid start byte at byte 6\n"
+        )
+
 
 class TestExitCodes:
     def test_ok(self, capsys):
@@ -156,6 +176,15 @@ class TestExitCodes:
     def test_invert_requires_observation(self, capsys):
         assert main(["invert"]) == EXIT_CONFIG
         assert "observed_omega_s" in capsys.readouterr().err
+
+    def test_plain_model_value_error_is_model_error(self, monkeypatch, capsys):
+        # the library's contract lets a model function raise ValueError
+        def plain(*args, **kwargs):
+            raise ValueError("alpha must lie in [0, 1), got 1.0")
+
+        monkeypatch.setattr(cli, "forward", plain)
+        assert main(["simulate"]) == EXIT_MODEL
+        assert capsys.readouterr().err == "model error: alpha must lie in [0, 1), got 1.0\n"
 
     @pytest.mark.parametrize(
         "command, override",
@@ -548,6 +577,16 @@ class TestSweep:
         out = tmp_path / "x.csv"
         code = main(["sweep", "--out", str(out)])
         assert code == EXIT_CONFIG
+
+    def test_partial_range(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(SWEEP_RANGE + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sweep requires sweep_values or all of"
+            " sweep_start/stop/count\n"
+        )
+        assert not out.exists()
 
 
 class TestOracleCheck:

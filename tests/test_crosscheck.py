@@ -111,9 +111,12 @@ class TestEdgeCases:
             assert row.delta_e_closed == 0.0
             assert row.delta_e_oracle == 0.0
             assert row.shift_abs_diff == 0.0
+            # two zero shifts agree; their relative difference is not 0/0
+            assert row.shift_rel_diff == 0.0
         assert math.isnan(report.closed_height_exponent)
         assert math.isnan(report.oracle_height_exponent)
         assert report.scaling_mismatch is False
+        assert report.notes == ()
 
     def test_single_height_has_no_exponent(self):
         report = consistency_report(3.0, (1.0,))

@@ -146,6 +146,12 @@ class TestNearFieldCheck:
         dielectric = near_field_check(tip, derive_image(tip, DielectricSample(11.7)))
         assert dielectric.ratio == pytest.approx(vacuum.ratio, rel=1e-12)
 
+    def test_image_gap_above_the_tip_gap_sets_the_bound(self):
+        # derive_image never builds one, but ImageDipole is public
+        tip = TipDipole(omega=1.0, height_nm=1.0)
+        report = near_field_check(tip, ImageDipole(omega_image=4.0))
+        assert report.ratio == 2.0 / (HBAR_C_EV_NM / 4.0)
+
     @pytest.mark.parametrize("omega, height_nm", [(1.0, 1e308), (1e306, 1e5)])
     def test_overflowing_ratio_is_an_overflow_error(self, omega, height_nm):
         tip = TipDipole(omega=omega, height_nm=height_nm)

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import warnings
@@ -188,11 +187,8 @@ class TestClosedRouteFromScalars:
         problem = InversionProblem(observed_omega_s=observed, **STRONG)
         checks.clear()  # tol_rel and observed_omega_s, checked at construction
         assert invert_permittivity(problem).epsilon_d == pytest.approx(3.0, rel=1e-12)
-        # the inverse's own geometry check, then the one forward at the answer
-        assert checks == [
-            ("omega", "height_nm", "kappa"),
-            ("omega", "height_nm", "kappa", "factor"),
-        ]
+        # the inverse's own geometry check; the check at the answer repeats none
+        assert checks == [("omega", "height_nm", "kappa")]
 
 
 class TestInversion:
@@ -415,35 +411,54 @@ class TestBandFloorAtTheGap:
 
 
 class TestClosedFormInverse:
-    def test_one_forward_call_and_no_root_search(self, monkeypatch):
-        calls = []
-        real = inversion.forward
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("method", "closed"))
-            return real(*args, **kwargs)
-
+    def test_no_forward_call_and_no_root_search(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("closed route ran the root search")
+            raise AssertionError("closed inverse called forward or the root search")
 
         observed = forward(11.7, **STRONG).omega_s
-        monkeypatch.setattr(inversion, "forward", counting)
+        monkeypatch.setattr(inversion, "forward", refuse)
         monkeypatch.setattr(inversion, "brentq", refuse)
         result = invert_permittivity(InversionProblem(observed_omega_s=observed, **STRONG))
         assert result.epsilon_d == pytest.approx(11.7, rel=1e-12)
         assert result.iterations == 0
-        assert calls == ["closed"]
+        assert result.residual < 1e-10
 
     def test_residual_check_is_independent(self, monkeypatch):
-        real = inversion.forward
+        real = closedform._emitted
 
-        def off_by_a_micro_ev(*args, **kwargs):
-            result = real(*args, **kwargs)
-            return dataclasses.replace(result, omega_s=result.omega_s + 1e-6)
+        def off_by_a_micro_ev(omega, delta_e):
+            return real(omega, delta_e) + 1e-6
 
         observed = forward(4.0, **STRONG).omega_s
-        monkeypatch.setattr(inversion, "forward", off_by_a_micro_ev)
+        # the forward map's scalar code, which both the band edges and the
+        # check at the answer run
+        monkeypatch.setattr(closedform, "_emitted", off_by_a_micro_ev)
         problem = InversionProblem(observed_omega_s=observed, **STRONG)
+        with pytest.raises(NoConvergenceError, match="closed-form inverse left residual"):
+            invert_permittivity(problem)
+
+    @staticmethod
+    def emitted_at_three(height_nm, omega, kappa):
+        alpha = DielectricSample(3.0).alpha
+        delta_e = closedform.energy_shift(1.0, height_nm, alpha, omega, kappa)
+        return closedform.scattered_frequency(omega, delta_e)
+
+    def test_check_squares_no_gap_above_1e154(self):
+        # forward's ||beta|| squares omega (1 + alpha^2), which overflows here
+        geometry = dict(height_nm=1.0, omega=1e160, kappa=1e153)
+        observed = self.emitted_at_three(**geometry)
+        with pytest.raises(OverflowError):
+            forward(3.0, **geometry)
+        result = invert_permittivity(InversionProblem(observed, **geometry))
+        assert result == inversion.InversionResult(3.7275712752902006, 0, 0.0)
+
+    def test_check_squares_no_gap_below_1e_162(self):
+        # forward's ||beta|| squares omega (1 +- alpha^2), which round to 0 here
+        problem = InversionProblem(
+            3.4533679164364414e-171, 0.060494781933080465, 1e-170, 1e-160
+        )
+        with pytest.raises(ZeroDivisionError):
+            forward(3.0, problem.height_nm, problem.omega, problem.kappa)
         with pytest.raises(NoConvergenceError, match="closed-form inverse left residual"):
             invert_permittivity(problem)
 
@@ -795,7 +810,7 @@ def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
 
 
 def composed_inverse(problem):
-    """The closed inverse spelled with the public pieces and ``composed_forward``."""
+    """The closed inverse spelled with the public pieces, its check included."""
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
     TipDipole(omega=omega, height_nm=height)
@@ -819,7 +834,8 @@ def composed_inverse(problem):
     c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
     a = math.sqrt(shift / (c - shift))
     epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
-    residual = abs(composed_forward(epsilon_d, height, omega, kappa).omega_s - observed)
+    omega_s = closedform.scattered_frequency(omega, delta_e(epsilon_d))
+    residual = abs(omega_s - observed)
     tol_abs = problem.tol_rel * omega
     if residual >= tol_abs:
         raise NoConvergenceError(

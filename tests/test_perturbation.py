@@ -166,6 +166,16 @@ class TestInputChecks:
             with pytest.raises(OverflowError):
                 rs_pt2(h0, v, 0)
 
+    def test_shift_overflowing_in_the_division_raises(self):
+        # the square 1e308 is finite; dividing it by the gap is not
+        h0 = OperatorMatrix((2,), np.diag([0.0, 1e-3]))
+        v = OperatorMatrix((2,), 1e154 * SIGMA_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError) as info:
+                rs_pt2(h0, v, 0)
+        assert str(info.value) == "second-order shift of level 0 overflows: -inf"
+
     def test_uncoupled_degeneracy_is_fine(self):
         h0 = OperatorMatrix((3,), np.diag([0.0, 0.0, 1.0]))
         v = np.zeros((3, 3), dtype=complex)

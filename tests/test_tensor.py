@@ -60,6 +60,9 @@ class TestContainers:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    def test_repr_counts_the_stored_entries(self):
+        assert repr(OperatorMatrix((2,), SIGMA_X)) == "OperatorMatrix(dims=(2,), nonzeros=2)"
+
     def test_read_only(self):
         op = OperatorMatrix((2,), SIGMA_X)
         with pytest.raises(AttributeError):
@@ -249,6 +252,12 @@ class TestPartialTrace:
             partial_trace(rho, keep=(2,))
         with pytest.raises(BadSubsystemIndexError):
             partial_trace(rho, keep=(0, 0))
+
+    def test_more_subsystems_than_labels(self):
+        # 27 one-level subsystems need 54 einsum labels; there are 52
+        rho = OperatorMatrix((1,) * 27, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="^too many subsystems for einsum labels: 27$"):
+            partial_trace(rho, keep=(0,))
 
 
 class TestOuter:
