@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from . import __version__, closedform, crosscheck
 from .errors import ConfigError, QsnomError
@@ -282,7 +282,7 @@ def _meta_path(out: Path) -> Path:
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
+def _replacing(path: Path) -> Iterator[BinaryIO]:
     """Open a new file beside ``path`` and rename it onto ``path`` on success.
 
     If the block raises, the new file is removed and ``path`` keeps its
@@ -297,7 +297,7 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(fd, "wb") as fh:
             yield fh
         try:
             os.replace(tmp, path)
@@ -312,17 +312,33 @@ def _write_pair(out: Path, text: str, cfg: RunConfig, command: str) -> None:
     """Write ``text`` to ``out`` and the run's ``.meta`` sidecar as a pair.
 
     Both go to new files first. The sidecar is renamed into place before
-    the table, so if either write fails ``out`` keeps its old content,
-    or stays absent.
+    the table, and put back as it was if the table's rename then fails,
+    so a failed write leaves both files with their old content, or
+    absent.
     """
     lines = [f"artifact=qsnom {__version__}", f"command={command}"]
     for f in sorted(fields(cfg), key=lambda f: f.name):
         lines.append(f"{f.name}={_fmt(getattr(cfg, f.name))}")
-    # the inner block exits, and renames its file, first
-    with _replacing(out) as table, _replacing(_meta_path(out)) as meta:
-        table.write(text)
-        meta.write("\n".join(lines) + "\n")
-    log.info("wrote %s and its metadata sidecar %s", out, _meta_path(out))
+    meta_path = _meta_path(out)
+    try:
+        old_meta = meta_path.read_bytes()
+    except FileNotFoundError:
+        old_meta = None
+    meta_replaced = False
+    try:
+        with _replacing(out) as table:
+            table.write(text.encode())
+            with _replacing(meta_path) as meta:
+                meta.write(("\n".join(lines) + "\n").encode())
+            meta_replaced = True
+    except BaseException:
+        if meta_replaced and old_meta is None:
+            meta_path.unlink()
+        elif meta_replaced:
+            with _replacing(meta_path) as meta:
+                meta.write(old_meta)
+        raise
+    log.info("wrote %s and its metadata sidecar %s", out, meta_path)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -157,13 +157,15 @@ def _betas(
             f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
         )
     pref = (kappa * alpha) ** 2 / (2.0 * (2.0 * height_nm) ** 3)
-    d_sum = (omega * (1.0 + alpha * alpha)) ** 2
-    d_diff = (omega * mixed_gap) ** 2
+    # divided by each gap twice: its square can leave the float range
+    # where the correction does not
+    d_sum = omega * (1.0 + alpha * alpha)
+    d_diff = omega * mixed_gap
     return (
-        a1 - pref * a1**2 / d_sum,
-        a2 - pref * a2**2 / d_diff,
-        a3 - pref * a3**2 / d_sum,
-        a4 - pref * a4**2 / d_diff,
+        a1 - pref * a1**2 / d_sum / d_sum,
+        a2 - pref * a2**2 / d_diff / d_diff,
+        a3 - pref * a3**2 / d_sum / d_sum,
+        a4 - pref * a4**2 / d_diff / d_diff,
     )
 
 

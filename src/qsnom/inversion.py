@@ -6,9 +6,10 @@ measured frequency inside the attainable band pins the permittivity
 down uniquely. On the closed route the shift has the form
 ``s = c x / (1 + x)`` with ``x = alpha^2`` and
 ``c = kappa^2 / ((2R)^3 omega)``, so recovery inverts it in closed form
-(``iterations = 0``) and checks the answer with the scalar forward map
-it inverts.
-The oracle route recovers by a bracketed derivative-free root search.
+(``iterations = 0``). The oracle route searches its numeric shift with
+a bracketed derivative-free root search. Both routes take the band and
+check the answer with their own shift, through the arithmetic the
+forward map runs for the emitted frequency.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from .dipole import (
 )
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
 from .hamiltonian import (
+    HamiltonianPair,
     ModelConfig,
     _coupling,
     _regime_warnings,
     basis_index,
     build_hamiltonian_pair,
 )
-from .perturbation import rs_pt2
+from .perturbation import PerturbationResult, rs_pt2
 
 __all__ = [
     "ForwardResult",
@@ -134,6 +136,15 @@ class InversionResult:
     residual: float
 
 
+def _oracle_pt2(
+    tip: TipDipole, sample: DielectricSample, cfg: ModelConfig
+) -> tuple[HamiltonianPair, int, PerturbationResult]:
+    """The numeric route's pair and the second-order result for |g, g, 1>."""
+    pair = build_hamiltonian_pair(tip, sample, cfg)
+    index = basis_index(0, 0, 1, cfg.n_max + 1)
+    return pair, index, rs_pt2(pair.h0, pair.delta_h, index)
+
+
 def forward(
     epsilon_d: float,
     height_nm: float,
@@ -173,11 +184,9 @@ def forward(
         image = derive_image(tip, sample)
         cfg = ModelConfig(kappa=kappa)
         ratio = near_field_check(tip, image, near_field_factor).ratio
-        pair = build_hamiltonian_pair(tip, sample, cfg)
+        pair, index, result = _oracle_pt2(tip, sample, cfg)
         epsilon_d, alpha = sample.epsilon_d, sample.alpha
         g, warnings = pair.g, pair.warnings
-        index = basis_index(0, 0, 1, cfg.n_max + 1)
-        result = rs_pt2(pair.h0, pair.delta_h, index)
         delta_e = result.e2
         omega_s = closedform.scattered_frequency(omega, delta_e)
         amplitude = float(np.real(result.normalized_coefficients[index]))
@@ -226,6 +235,8 @@ def _band_edge(
             f"observed omega_s {observed!r} below attainable band"
             f" [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
         )
+    # tol_abs underflows to 0 at a tiny omega or tol_rel, and an exact hit
+    # on an edge still returns it
     if observed == top:
         return InversionResult(epsilon_d=lo, iterations=0, residual=0.0)
     if observed == bottom:
@@ -236,117 +247,86 @@ def _band_edge(
 def _closed_shift(
     epsilon_d: float, height_nm: float, omega: float, kappa: float
 ) -> float:
-    """The closed route's ground-state shift, from checked inputs.
-
-    Through :func:`closedform._emitted` this is the arithmetic
-    :func:`forward` runs for ``omega_s``, without the observables the
-    inverse does not read.
-    """
+    """The closed route's ground-state shift, from checked inputs."""
     return closedform._shift(1.0, height_nm, _alpha(epsilon_d), omega, kappa)
 
 
-def _invert_closed(problem: InversionProblem) -> InversionResult:
-    lo, hi = problem.bracket
-    height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
-    # the geometry checks forward makes, in its order, so invalid inputs
-    # keep their class
-    _positive_finite(omega=omega, height_nm=height, kappa=kappa)
-
-    top = closedform._emitted(omega, _closed_shift(_epsilon(lo), height, omega, kappa))
-    delta_hi = _closed_shift(_epsilon(hi), height, omega, kappa)
-    if abs(delta_hi) >= omega:
-        # the shift reaches the gap inside the bracket: the band ends
-        # at zero frequency, not at the bracket top
-        bottom = 0.0
-    else:
-        bottom = closedform._emitted(omega, delta_hi)
-    edge = _band_edge(problem, top, bottom)
-    if edge is not None:
-        return edge
-
-    # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
-    # where c cannot
-    observed = problem.observed_omega_s
-    shift = omega - observed
-    c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
-    a = math.sqrt(shift / (c - shift))
-    # a rounds to 1 only for a bracket top next to the metallic limit
-    epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
-
-    delta = _closed_shift(epsilon_d, height, omega, kappa)
-    residual = abs(closedform._emitted(omega, delta) - observed)
-    tol_abs = problem.tol_rel * omega
-    if residual >= tol_abs:
-        raise NoConvergenceError(
-            f"closed-form inverse left residual {residual:.3e} eV"
-            f" against tolerance {tol_abs:.3e} eV"
-        )
-    return InversionResult(epsilon_d, 0, residual)
-
-
-def _invert_by_search(problem: InversionProblem) -> InversionResult:
-    lo, hi = problem.bracket
-
-    def emitted(eps: float) -> float:
-        return forward(
-            eps,
-            problem.height_nm,
-            problem.omega,
-            problem.kappa,
-            method=problem.method,
-        ).omega_s
-
-    edge = _band_edge(problem, emitted(lo), emitted(hi))
-    # an exact band-edge hit would short-circuit brentq and leave its
-    # iteration counter unset
-    if edge is not None:
-        return edge
-
-    observed = problem.observed_omega_s
-    root, info = brentq(
-        lambda eps: emitted(eps) - observed,
-        lo,
-        hi,
-        xtol=1e-12,
-        rtol=1e-15,
-        maxiter=problem.max_iter,
-        full_output=True,
-        disp=False,
-    )
-    residual = abs(emitted(float(root)) - observed)
-    tol_abs = problem.tol_rel * problem.omega
-    if not info.converged or residual >= tol_abs:
-        raise NoConvergenceError(
-            f"root search used {info.iterations} iterations (budget"
-            f" {problem.max_iter}) and left residual {residual:.3e} eV"
-            f" against tolerance {tol_abs:.3e} eV"
-        )
-    return InversionResult(
-        epsilon_d=float(root),
-        iterations=int(info.iterations),
-        residual=float(residual),
-    )
+def _oracle_shift(
+    epsilon_d: float, height_nm: float, omega: float, kappa: float
+) -> float:
+    """The oracle route's ground-state shift, the one :func:`forward` takes."""
+    tip = TipDipole(omega=omega, height_nm=height_nm)
+    return _oracle_pt2(tip, DielectricSample(epsilon_d), ModelConfig(kappa=kappa))[2].e2
 
 
 def invert_permittivity(problem: InversionProblem) -> InversionResult:
     """Recover the permittivity whose emitted frequency matches.
 
-    The attainable frequency band on the bracket is checked first; a
-    measurement within tolerance of a band edge returns that edge, one
-    outside raises :class:`OutOfBracketError` with the band in the
-    message. On the closed route the band's floor is zero frequency
-    where the shift reaches the gap inside the bracket. Inside the band
-    the closed route inverts the shift in closed form and reports
-    ``iterations = 0``; the oracle route runs a bracketed root search
-    with a hard iteration budget of ``max_iter``. Either way the forward
-    map's ``omega_s`` at the answer gives the returned residual (on the
-    closed route its scalar arithmetic, not a whole :func:`forward`
-    call), and :class:`NoConvergenceError` is raised if it is not below
-    ``tol_rel * omega``.
+    Both routes run this procedure on their own ground-state shift
+    ``s(epsilon_d)``, the closed form's or the numeric second-order one,
+    and call no :func:`forward`. The band runs from the frequency
+    ``omega - |s|`` at the bracket top, or zero where the shift reaches
+    the gap inside the bracket, to the frequency at the bracket's low
+    end. A measurement within ``tol_rel * omega`` of an edge returns
+    that edge; one outside raises :class:`OutOfBracketError`. Inside,
+    the closed route inverts its shift in closed form
+    (``iterations = 0``) and the oracle route searches
+    ``omega - |s| - observed`` within ``max_iter`` iterations. The
+    emitted frequency at the answer gives the residual;
+    :class:`NoConvergenceError` is raised if it is not below
+    ``tol_rel * omega`` or the search ran out of its budget.
     """
+    lo, hi = problem.bracket
+    height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
+    # the geometry checks forward makes, in its order, so invalid inputs
+    # keep their class
+    _positive_finite(omega=omega, height_nm=height, kappa=kappa)
+    shift = _closed_shift if problem.method == "closed" else _oracle_shift
+    top = closedform._emitted(omega, shift(_epsilon(lo), height, omega, kappa))
+    delta_hi = shift(_epsilon(hi), height, omega, kappa)
+    # where the shift reaches the gap inside the bracket the band ends at
+    # zero frequency, not at the bracket top
+    bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
+    edge = _band_edge(problem, top, bottom)
+    if edge is not None:
+        return edge
+
+    observed = problem.observed_omega_s
     if problem.method == "closed":
-        return _invert_closed(problem)
-    return _invert_by_search(problem)
+        # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
+        # where c cannot
+        s = omega - observed
+        c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+        a = math.sqrt(s / (c - s))
+        # a rounds to 1 only for a bracket top next to the metallic limit
+        epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
+        iterations, converged, how = 0, True, "closed-form inverse"
+    else:
+        # unlike the emitted frequency, omega - |s| stays defined past the gap
+        root, info = brentq(
+            lambda eps: omega - abs(shift(eps, height, omega, kappa)) - observed,
+            lo,
+            hi,
+            xtol=1e-12,
+            rtol=1e-15,
+            maxiter=problem.max_iter,
+            full_output=True,
+            disp=False,
+        )
+        epsilon_d, iterations = float(root), int(info.iterations)
+        converged = info.converged
+        how = f"root search used {iterations} iterations (budget {problem.max_iter}) and"
+
+    delta = shift(epsilon_d, height, omega, kappa)
+    # an unconverged search may stop past the gap, where nothing is emitted
+    emitted = closedform._emitted(omega, delta) if converged else omega - abs(delta)
+    residual = abs(emitted - observed)
+    tol_abs = problem.tol_rel * omega
+    if not converged or residual >= tol_abs:
+        raise NoConvergenceError(
+            f"{how} left residual {residual:.3e} eV against tolerance {tol_abs:.3e} eV"
+        )
+    return InversionResult(epsilon_d, iterations, residual)
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,9 @@ class TestExitCodes:
         "command, override, error",
         [
             ("simulate", "R_nm=1e200", "OverflowError"),
-            ("simulate", "omega_eV=1e-300", "ZeroDivisionError"),
+            # ||beta|| divides by the gap twice instead of by its square,
+            # which rounded to 0, so the gap check names the failure
+            ("simulate", "omega_eV=1e-300", "ShiftExceedsGapError"),
             ("simulate", "R_nm=1e-300", "ZeroDivisionError"),
         ],
     )
@@ -403,6 +405,25 @@ class TestAtomicWrites:
         assert err == f"i/o error: [Errno 21] Is a directory: {str(tmp_path / 'r.meta')!r}\n"
         assert ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.meta"]
+
+    @pytest.mark.parametrize(
+        "old", [b"artifact=qsnom 0.0.9\ncommand=sweep\n", None], ids=["older", "none"]
+    )
+    def test_failed_table_rename_keeps_old_sidecar(self, tmp_path, capsys, old):
+        out = tmp_path / "r.txt"
+        out.mkdir()
+        meta = tmp_path / "r.meta"
+        if old is not None:
+            meta.write_bytes(old)
+        assert main(["simulate", "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["r.txt"] if old is None else ["r.meta", "r.txt"]
+        )
+        assert list(out.iterdir()) == []
+        if old is not None:
+            assert meta.read_bytes() == old
 
     def test_failed_open_names_the_destination(self, tmp_path, capsys):
         out = tmp_path / "absent" / "r.txt"

@@ -243,6 +243,19 @@ class TestInversion:
         with pytest.raises(OutOfBracketError, match="attainable band"):
             invert_permittivity(problem)
 
+    @pytest.mark.parametrize(
+        "method, omega, tol_rel",
+        [("closed", 1e-320, 1e-10), ("closed", 1e-5, 1e-320), ("oracle", 1e-5, 1e-320)],
+    )
+    def test_exact_edge_hit_with_tolerance_underflowing_to_zero(
+        self, method, omega, tol_rel
+    ):
+        # every shift underflows to 0, so the band is the single point omega
+        problem = InversionProblem(omega, 1.0, omega, 1e-200, tol_rel=tol_rel, method=method)
+        assert problem.tol_rel * problem.omega == 0.0
+        result = invert_permittivity(problem)
+        assert result == inversion.InversionResult(problem.bracket[0], 0, 0.0)
+
     def test_oracle_search_out_of_budget(self):
         observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
         problem = InversionProblem(observed, 1.0, 1.0, 0.05, method="oracle", max_iter=1)
@@ -404,10 +417,44 @@ class TestBandFloorAtTheGap:
         with pytest.raises(OutOfBracketError, match=r"above attainable band \[0\.0, 1\.0\]"):
             invert_permittivity(problem)
 
-    def test_oracle_route_still_evaluates_the_bracket_top(self):
-        problem = InversionProblem(observed_omega_s=0.9, method="oracle", **self.NEAR)
-        with pytest.raises(ShiftExceedsGapError):
+    def test_oracle_route_floor_is_zero_and_answers(self):
+        problem = InversionProblem(observed_omega_s=1.2, method="oracle", **self.NEAR)
+        with pytest.raises(OutOfBracketError, match=r"above attainable band \[0\.0, 1\.0\]"):
             invert_permittivity(problem)
+        # the shift at the bracket top reaches the gap
+        with pytest.raises(ShiftExceedsGapError):
+            forward(problem.bracket[1], method="oracle", **self.NEAR)
+        problem = InversionProblem(observed_omega_s=0.9, method="oracle", **self.NEAR)
+        result = invert_permittivity(problem)
+        assert result.iterations > 0
+        assert result.residual < problem.tol_rel * problem.omega
+        assert forward(result.epsilon_d, method="oracle", **self.NEAR).omega_s == (
+            pytest.approx(0.9, abs=1e-10)
+        )
+
+    def test_oracle_search_out_of_budget_past_the_gap(self):
+        # the search stops where the shift exceeds the gap; the budget failed
+        problem = InversionProblem(
+            observed_omega_s=0.9, method="oracle", max_iter=1, **self.NEAR
+        )
+        with pytest.raises(
+            NoConvergenceError,
+            match=r"^root search used 1 iterations \(budget 1\) and left residual 1\.061e\+01",
+        ):
+            invert_permittivity(problem)
+
+    @pytest.mark.parametrize("epsilon_d", [1.01, 1.1, 1.5, 2.0, 3.0, 11.7, 30.0, 100.0])
+    def test_oracle_round_trip(self, epsilon_d):
+        # at this gap the oracle shift stays below it up to epsilon_d = 100
+        # and reaches it at the bracket top
+        geometry = dict(self.NEAR, omega=3.25)
+        with pytest.raises(ShiftExceedsGapError):
+            forward(1e6, method="oracle", **geometry)
+        observed = forward(epsilon_d, method="oracle", **geometry).omega_s
+        problem = InversionProblem(observed_omega_s=observed, method="oracle", **geometry)
+        result = invert_permittivity(problem)
+        assert result.epsilon_d == pytest.approx(epsilon_d, rel=1e-6)
+        assert result.residual < problem.tol_rel * problem.omega
 
 
 class TestClosedFormInverse:
@@ -422,6 +469,17 @@ class TestClosedFormInverse:
         assert result.epsilon_d == pytest.approx(11.7, rel=1e-12)
         assert result.iterations == 0
         assert result.residual < 1e-10
+
+    def test_oracle_inverse_makes_no_forward_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle inverse called forward")
+
+        observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
+        monkeypatch.setattr(inversion, "forward", refuse)
+        problem = InversionProblem(observed, 1.0, 1.0, 0.05, method="oracle")
+        result = invert_permittivity(problem)
+        assert result.epsilon_d == pytest.approx(3.0, rel=1e-6)
+        assert result.iterations > 0
 
     def test_residual_check_is_independent(self, monkeypatch):
         real = closedform._emitted
@@ -444,23 +502,32 @@ class TestClosedFormInverse:
         return closedform.scattered_frequency(omega, delta_e)
 
     def test_check_squares_no_gap_above_1e154(self):
-        # forward's ||beta|| squares omega (1 + alpha^2), which overflows here
+        # omega (1 + alpha^2) squared overflows here
         geometry = dict(height_nm=1.0, omega=1e160, kappa=1e153)
         observed = self.emitted_at_three(**geometry)
-        with pytest.raises(OverflowError):
-            forward(3.0, **geometry)
         result = invert_permittivity(InversionProblem(observed, **geometry))
         assert result == inversion.InversionResult(3.7275712752902006, 0, 0.0)
+        # and forward runs at the answer, ||beta|| included
+        for method in ("closed", "oracle"):
+            at_answer = forward(result.epsilon_d, method=method, **geometry)
+            assert all(
+                math.isfinite(getattr(at_answer, name))
+                for name in ("alpha", "g", "delta_e", "omega_s", "amplitude")
+            )
+        at_answer = forward(result.epsilon_d, **geometry)
+        assert at_answer.omega_s == observed
+        assert at_answer.amplitude == pytest.approx(1.0, abs=1e-15)
 
     def test_check_squares_no_gap_below_1e_162(self):
-        # forward's ||beta|| squares omega (1 +- alpha^2), which round to 0 here
+        # omega (1 +- alpha^2) squared rounds to 0 here
         problem = InversionProblem(
             3.4533679164364414e-171, 0.060494781933080465, 1e-170, 1e-160
         )
-        with pytest.raises(ZeroDivisionError):
-            forward(3.0, problem.height_nm, problem.omega, problem.kappa)
         with pytest.raises(NoConvergenceError, match="closed-form inverse left residual"):
             invert_permittivity(problem)
+        # forward divides by each gap twice, so it reaches its gap check
+        with pytest.raises(ShiftExceedsGapError):
+            forward(3.0, problem.height_nm, problem.omega, problem.kappa)
 
 
 def root_search_reference(problem):
