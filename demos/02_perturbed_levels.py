@@ -9,21 +9,21 @@ error, which shrinks like the fourth power of the coupling.
 from __future__ import annotations
 
 from qsnom.dipole import DielectricSample, TipDipole
-from qsnom.hamiltonian import ModelConfig, basis_index, build_hamiltonian_pair
+from qsnom.hamiltonian import ModelConfig, build_hamiltonian_pair
 from qsnom.perturbation import rs_pt2, validate_against_exact
 
 sample = DielectricSample(3.0)
 tip = TipDipole(omega=1.0, height_nm=0.5)
-cfg = ModelConfig(n_max=1, kappa=0.05)
+cfg = ModelConfig(kappa=0.05)
 pair = build_hamiltonian_pair(tip, sample, cfg)
 
 print("= register and coupling =")
-print(f"  levels              {pair.h0.side} (tip x image x photon)")
+print(f"  levels              {pair.h0.side} (tip x image, one photon)")
 print(f"  coupling strength   {pair.g:.6g} eV")
 for warning in pair.warnings:
     print(f"  warning: {warning}")
 
-index = basis_index(0, 0, 1, cfg.n_max + 1)
+index = 0  # |g, g, 1>
 result = rs_pt2(pair.h0, pair.delta_h, index)
 print()
 print("= second-order shift of the one-photon ground level =")
@@ -43,6 +43,6 @@ print(f"  state overlap       {comparison.overlap:.6f}")
 print()
 print("= residual decays like the coupling to the fourth power =")
 for kappa in (0.05, 0.025, 0.0125):
-    weak = build_hamiltonian_pair(tip, sample, ModelConfig(n_max=1, kappa=kappa))
+    weak = build_hamiltonian_pair(tip, sample, ModelConfig(kappa=kappa))
     res = validate_against_exact(weak.h0, weak.delta_h, index).residual
     print(f"  kappa={kappa:<7g} g={weak.g:.5f} eV  residual={res:.3e} eV")

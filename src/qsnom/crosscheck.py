@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedform
 from .dipole import DielectricSample, TipDipole
-from .hamiltonian import ModelConfig, basis_index, build_hamiltonian_pair
+from .hamiltonian import ModelConfig, build_hamiltonian_pair
 # rs_pt2 is no longer called here (validate_against_exact returns its
 # result), but perfbench/tracer.py wraps qsnom.crosscheck.rs_pt2 and
 # fails to start without it
@@ -143,7 +143,9 @@ def consistency_report(
     """Compare shift and coefficient routes over a tip-height sweep.
 
     On both routes the reference level is the dipole-pair ground state,
-    with one photon present at each height. The oracle route is the
+    with one photon present at each height; on the oracle route it is
+    level 0 of the one-photon sector. ``n_max`` is checked by
+    :class:`ModelConfig` and sizes nothing. The oracle route is the
     generic second-order engine validated against exact diagonalization,
     run once per height; the closed-form route is
     :func:`qsnom.closedform.energy_shift` and the first corrected
@@ -160,9 +162,7 @@ def consistency_report(
     for height in heights_nm:
         tip = TipDipole(omega=omega, height_nm=height)
         pair = build_hamiltonian_pair(tip, sample, cfg)
-        index = basis_index(0, 0, 1, cfg.n_max + 1)
-
-        comparison = validate_against_exact(pair.h0, pair.delta_h, index)
+        comparison = validate_against_exact(pair.h0, pair.delta_h, 0)
         result = comparison.pt2
         exact_shift = comparison.exact_energy - result.e0
 
@@ -170,7 +170,7 @@ def consistency_report(
             a.a1, height, sample.alpha, omega, kappa
         )
         beta = closedform.beta_coefficients(a, height, sample.alpha, omega, kappa)
-        beta1_oracle = float(np.real(result.normalized_coefficients[index]))
+        beta1_oracle = float(np.real(result.normalized_coefficients[0]))
 
         rows.append(
             ConsistencyRow(

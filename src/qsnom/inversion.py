@@ -39,7 +39,6 @@ from .hamiltonian import (
     ModelConfig,
     _coupling,
     _regime_warnings,
-    basis_index,
     build_hamiltonian_pair,
 )
 from .perturbation import PerturbationResult, rs_pt2
@@ -138,11 +137,11 @@ class InversionResult:
 
 def _oracle_pt2(
     tip: TipDipole, sample: DielectricSample, cfg: ModelConfig
-) -> tuple[HamiltonianPair, int, PerturbationResult]:
-    """The numeric route's pair and the second-order result for |g, g, 1>."""
+) -> tuple[HamiltonianPair, PerturbationResult]:
+    """The numeric route's pair and the second-order result for |g, g, 1>,
+    level 0 of the one-photon sector."""
     pair = build_hamiltonian_pair(tip, sample, cfg)
-    index = basis_index(0, 0, 1, cfg.n_max + 1)
-    return pair, index, rs_pt2(pair.h0, pair.delta_h, index)
+    return pair, rs_pt2(pair.h0, pair.delta_h, 0)
 
 
 def forward(
@@ -184,12 +183,12 @@ def forward(
         image = derive_image(tip, sample)
         cfg = ModelConfig(kappa=kappa)
         ratio = near_field_check(tip, image, near_field_factor).ratio
-        pair, index, result = _oracle_pt2(tip, sample, cfg)
+        pair, result = _oracle_pt2(tip, sample, cfg)
         epsilon_d, alpha = sample.epsilon_d, sample.alpha
         g, warnings = pair.g, pair.warnings
         delta_e = result.e2
         omega_s = closedform.scattered_frequency(omega, delta_e)
-        amplitude = float(np.real(result.normalized_coefficients[index]))
+        amplitude = float(np.real(result.normalized_coefficients[0]))
     else:
         raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
 
@@ -256,7 +255,7 @@ def _oracle_shift(
 ) -> float:
     """The oracle route's ground-state shift, the one :func:`forward` takes."""
     tip = TipDipole(omega=omega, height_nm=height_nm)
-    return _oracle_pt2(tip, DielectricSample(epsilon_d), ModelConfig(kappa=kappa))[2].e2
+    return _oracle_pt2(tip, DielectricSample(epsilon_d), ModelConfig(kappa=kappa))[1].e2
 
 
 def invert_permittivity(problem: InversionProblem) -> InversionResult:

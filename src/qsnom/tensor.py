@@ -2,10 +2,9 @@
 
 States and operators carry an explicit tuple of subsystem dimensions
 (leftmost factor is the most significant index). Everything is plain
-``numpy`` underneath; arrays are defensively copied and frozen on
-construction. Operators store their nonzero entries, so a sparse
-operator on a large register costs memory in its nonzeros, not in the
-square of its side.
+dense ``numpy`` underneath; arrays are defensively copied and frozen on
+construction. The registers here are small: the oracle's one-photon
+sector has four states and the scattered-photon state eight.
 """
 
 from __future__ import annotations
@@ -70,105 +69,55 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Square operator over a composite register, stored as its nonzeros.
+    """Square operator over a composite register.
 
-    The nonzero entries are kept as triplets: entry ``(rows[k], cols[k])``
-    is ``values[k]``, sorted by row and then by column, each position at
-    most once. ``entries``, the dense complex matrix whose side equals
-    ``prod(dims)``, is built on its first read and kept; ``dims``,
-    ``side`` and the methods below never build it. Instances and their
-    arrays are read-only.
+    Parameters
+    ----------
+    dims:
+        Subsystem dimensions, most significant first.
+    entries:
+        Complex matrix whose side equals ``prod(dims)``; kept read-only.
     """
 
-    __slots__ = ("dims", "side", "rows", "cols", "values", "_entries")
+    dims: tuple[int, ...]
+    entries: np.ndarray
 
-    def __init__(self, dims: Sequence[int], entries: np.ndarray) -> None:
-        dims = _check_dims(dims)
-        mat = np.array(entries, dtype=complex)
+    def __post_init__(self) -> None:
+        dims = _check_dims(self.dims)
+        mat = np.array(self.entries, dtype=complex)
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(
                 f"entries shape {mat.shape} does not match dims {dims}"
                 f" (expected {(side, side)})"
             )
-        rows, cols = np.nonzero(mat)
-        self._freeze(dims, side, rows, cols, mat[rows, cols], mat)
-
-    @classmethod
-    def _canonical(
-        cls,
-        dims: tuple[int, ...],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-    ) -> "OperatorMatrix":
-        """Wrap triplets that are canonical already, without checks.
-
-        For builders whose output is canonical by construction: ``dims``
-        a checked tuple, indices in range and sorted by position, each
-        position once, complex values none of which is zero. The arrays
-        are kept, not copied.
-        """
-        op = cls.__new__(cls)
-        op._freeze(dims, math.prod(dims), rows, cols, values, None)
-        return op
-
-    def _freeze(self, dims, side, rows, cols, values, entries) -> None:
-        for array in (rows, cols, values, entries):
-            if array is not None:
-                array.setflags(write=False)
-        for name, value in zip(
-            self.__slots__, (dims, side, rows, cols, values, entries)
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"OperatorMatrix is read-only; cannot set {name!r}")
-
-    def __repr__(self) -> str:
-        return f"OperatorMatrix(dims={self.dims}, nonzeros={self.values.size})"
+        mat.setflags(write=False)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", mat)
 
     def __reduce__(self):
-        # the triplets are canonical already; unpickling rewraps them
-        # without a sort and leaves the dense matrix unbuilt
-        triplets = (self.dims, self.rows, self.cols, self.values)
-        return OperatorMatrix._canonical, triplets
+        # rebuild through the constructor, so a copy's entries are
+        # read-only too
+        return OperatorMatrix, (self.dims, self.entries)
 
     @property
-    def entries(self) -> np.ndarray:
-        if self._entries is None:
-            mat = np.zeros((self.side, self.side), dtype=complex)
-            mat[self.rows, self.cols] = self.values
-            mat.setflags(write=False)
-            object.__setattr__(self, "_entries", mat)
-        return self._entries
+    def side(self) -> int:
+        return self.entries.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal as a dense vector of length ``side``."""
-        out = np.zeros(self.side, dtype=complex)
-        on = self.rows == self.cols
-        out[self.rows[on]] = self.values[on]
-        return out
+        """The diagonal as a read-only vector of length ``side``."""
+        return self.entries.diagonal()
 
     @property
     def trace(self) -> complex:
         return complex(self.diagonal().sum())
 
     def _hermitian_deviation(self) -> tuple[float, float]:
-        """``(max|M - M^dag|, max|M|)`` over the nonzero entries.
-
-        An entry whose mirror is zero deviates by its own magnitude; a
-        pair of zero mirror entries adds 0 to both maxima.
-        """
-        if self.values.size == 0:
-            return 0.0, 0.0
-        keys = self.rows * self.side + self.cols  # ascending
-        mirror_keys = self.cols * self.side + self.rows
-        at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-        mirror = np.where(keys[at] == mirror_keys, self.values[at], 0)
-        dev = float(np.abs(self.values - mirror.conj()).max())
-        return dev, float(np.abs(self.values).max())
+        """``(max|M - M^dag|, max|M|)``."""
+        m = self.entries
+        return float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
 
     def is_hermitian(self) -> bool:
         """Whether ``max|M - M^dag| <= 1e-12 * max|M|`` (a zero ``M`` is)."""

@@ -61,15 +61,15 @@ def test_c3_second_order_engine():
     def body():
         sample = DielectricSample(3.0)
         tip = TipDipole(omega=1.0, height_nm=0.5)
-        h0 = build_h0(tip, derive_image(tip, sample), None)
-        result = rs_pt2(h0, build_delta_h(0.01, None), 0)
+        h0 = build_h0(tip, derive_image(tip, sample))
+        result = rs_pt2(h0, build_delta_h(0.01), 0)
         assert result.e2 == pytest.approx(-8e-5, abs=1e-12)
-        comparison = validate_against_exact(h0, build_delta_h(0.01, None), 0)
+        comparison = validate_against_exact(h0, build_delta_h(0.01), 0)
         assert comparison.residual < 1e-7
         g, previous = 0.01, comparison.residual
         for _ in range(3):
             g /= 2
-            current = validate_against_exact(h0, build_delta_h(g, None), 0).residual
+            current = validate_against_exact(h0, build_delta_h(g), 0).residual
             assert previous / current >= 8.0
             previous = current
 
@@ -138,9 +138,9 @@ def test_c8_metallic_limit_guards():
             beta_coefficients(mixed, 0.5, 1.0 - 1e-13, 1.0, 1.0)
         sample = DielectricSample(2e13)
         tip = TipDipole(omega=1.0, height_nm=0.5)
-        h0 = build_h0(tip, derive_image(tip, sample), None)
+        h0 = build_h0(tip, derive_image(tip, sample))
         with pytest.raises(DegenerateGapError):
-            rs_pt2(h0, build_delta_h(1e-4, None), 1)
+            rs_pt2(h0, build_delta_h(1e-4), 1)
 
     check("C8 metallic limit raises the documented degeneracy guards", body)
 

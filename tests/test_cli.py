@@ -9,7 +9,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsnom import cli, crosscheck, inversion
@@ -342,6 +342,33 @@ class TestExitCodes:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == code
         assert capsys.readouterr().err.startswith(err)
+
+
+    @pytest.mark.parametrize(
+        "overrides, err",
+        [
+            # the second-order shift underflows to 0 while its first-order
+            # coefficient overflows
+            (["omega_eV=1e-320", "kappa=1e-200"],
+             "model error: OverflowError: first-order coefficient of level 3 in"
+             " level 0 overflows: (inf+nanj)\n"),
+            # the coefficient overflows before the shift meets the gap check
+            (["omega_eV=1e-310"],
+             "model error: OverflowError: first-order coefficient of level 3 in"
+             " level 0 overflows: (inf+nanj)\n"),
+        ],
+        ids=["tiny-omega-and-kappa", "tiny-omega"],
+    )
+    def test_overflowing_coefficient_at_a_subnormal_gap(self, capsys, overrides, err):
+        argv = ["simulate", "--set", "forward_method=oracle"]
+        for override in overrides:
+            argv += ["--set", override]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 class TestAtomicWrites:
@@ -761,7 +788,10 @@ FLOAT_KEYS = (
 INT_KEYS = ("max_iter", "sweep_count")
 # values no check lets through, and values that validation must reject
 HUGE_OR_TINY = st.tuples(
-    st.sampled_from(FLOAT_KEYS), st.sampled_from(("1e308", "1e300", "1e-300"))
+    st.sampled_from(FLOAT_KEYS),
+    st.sampled_from(
+        ("1e308", "1e300", "1e-200", "1e-300", "1e-310", "1e-320", "5e-324")
+    ),
 )
 INVALID_OVERRIDES = st.tuples(
     st.sampled_from(FLOAT_KEYS + INT_KEYS),
@@ -800,6 +830,15 @@ BASE_OVERRIDES = (
 
 class TestRobustness:
     @settings(max_examples=300, deadline=None)
+    # a subnormal gap with a tiny coupling on the oracle route
+    @example(
+        base=("simulate", {}),
+        plain=[("forward_method", "oracle")],
+        huge_or_tiny=[("omega_eV", "1e-320"), ("kappa", "1e-200")],
+        invalid=[],
+        repeat_key=False,
+        out=None,
+    )
     @given(
         base=st.sampled_from(BASE_OVERRIDES),
         plain=st.lists(PLAIN_OVERRIDES, max_size=3),
@@ -813,8 +852,9 @@ class TestRobustness:
     ):
         """Every input ends in exit 0, 2, 3 or 4, never in an exception.
 
-        Each run sets a few plain values, up to two of 1e308, 1e300 and
-        1e-300 and at most one of nan, inf, -1, 0, -1e300 and -1e-300. It
+        Each run sets a few plain values, up to two huge or tiny ones
+        (1e308 down to the subnormal 5e-324) and at most one of nan, inf,
+        -1, 0, -1e300 and -1e-300. It
         may repeat a key or set a removed one (``n_max``,
         ``photon_energy_eV``), and it writes to a fresh file, to ``.``, to
         ``x.meta`` or to an existing directory. ``sweep_count`` is at

@@ -10,12 +10,7 @@ import qsnom.perturbation
 from qsnom.closedform import energy_shift
 from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
 from qsnom.dipole import DielectricSample, TipDipole
-from qsnom.hamiltonian import (
-    N_MAX_LIMIT,
-    ModelConfig,
-    basis_index,
-    build_hamiltonian_pair,
-)
+from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
 from qsnom.perturbation import rs_pt2
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
@@ -88,22 +83,6 @@ class TestEngineCalls:
         assert len(calls) == len(HEIGHTS)
 
 
-class TestExactShift:
-    def test_photon_register_size_leaves_exact_shift_unchanged(self):
-        # the coupling links (g,g,1) to (e,e,1) only, at every n_max
-        small = consistency_report(1.5, HEIGHTS, kappa=0.05, n_max=1)
-        large = consistency_report(1.5, HEIGHTS, kappa=0.05, n_max=64)
-        alpha = small.rows[0].alpha
-        half_gap = 1.0 * (1 + alpha**2) / 2
-        for a, b in zip(small.rows, large.rows):
-            assert b.delta_e_exact == pytest.approx(a.delta_e_exact, rel=1e-9)
-            # lower eigenvalue of the 2x2 block, written without cancellation
-            g = b.g
-            analytic = -(g**2) / (half_gap + math.sqrt(half_gap**2 + g**2))
-            # the shift is a difference of O(1) level energies: allow a few ulp
-            assert b.delta_e_exact == pytest.approx(analytic, rel=1e-9, abs=1e-15)
-
-
 class TestEdgeCases:
     def test_vacuum_sample_is_inert(self):
         report = consistency_report(1.0, HEIGHTS)
@@ -155,7 +134,7 @@ def peak_bytes(call):
 
 
 class TestFootprint:
-    # a dense (H0, V) pair at the limit would take 2 x 4100^2 x 16 B > 500 MiB
+    # n_max sizes nothing: a report at its limit stays small
     LIMIT = 2 * 2**20
 
     def test_report_at_the_n_max_limit(self):
@@ -212,11 +191,11 @@ IDENTITY_GRID = [
 
 
 def oracle_shift(height, eps, kappa, omega):
-    """Second-order shift of the reference level |g, g, 1> on the register."""
+    """Second-order shift of the reference level |g, g, 1>, sector level 0."""
     tip = TipDipole(omega=omega, height_nm=height)
     sample = DielectricSample(eps)
     pair = build_hamiltonian_pair(tip, sample, ModelConfig(kappa=kappa))
-    return rs_pt2(pair.h0, pair.delta_h, basis_index(0, 0, 1, 2)).e2, pair.g
+    return rs_pt2(pair.h0, pair.delta_h, 0).e2, pair.g
 
 
 def worst_relative_error(pairs):

@@ -51,63 +51,33 @@ class TestCoupling:
 
 
 class TestFreeHamiltonian:
-    def test_diagonal_entries_vacuum(self):
-        # tip level is the most significant index, photon the least
-        _, tip, image, cfg = make_parts(1.0, omega=1.0, n_max=1)
-        h0 = build_h0(tip, image, cfg)
-        assert h0.dims == (2, 2, 2)
+    def test_pair_energies_with_image(self):
+        # the one-photon sector: the pair's energies plus omega
+        _, tip, image, _ = make_parts(3.0, omega=1.0)
+        h0 = build_h0(tip, image)
+        assert h0.dims == (2, 2)
         np.testing.assert_allclose(
-            np.diag(h0.entries).real, [0, 1, 0, 1, 1, 2, 1, 2], atol=1e-15
+            np.diag(h0.entries).real, [1.0, 1.25, 2.0, 2.25], atol=1e-15
         )
         assert np.all(h0.entries == np.diag(np.diag(h0.entries)))
 
-    def test_pair_energies_with_image(self):
-        _, tip, image, _ = make_parts(3.0, omega=1.0)
-        h0 = build_h0(tip, image, None)
-        assert h0.dims == (2, 2)
-        np.testing.assert_allclose(
-            np.diag(h0.entries).real, [0.0, 0.25, 1.0, 1.25], atol=1e-15
-        )
-
-    def test_entry_formula(self):
-        _, tip, image, cfg = make_parts(5.0, omega=1.3, n_max=2)
-        h0 = build_h0(tip, image, cfg)
-        for i_a in (0, 1):
-            for i_b in (0, 1):
-                for n in range(3):
-                    idx = basis_index(i_a, i_b, n, 3)
-                    expected = (
-                        i_a * 1.3 + i_b * image.omega_image + n * 1.3
-                    )
-                    assert h0.entries[idx, idx].real == pytest.approx(
-                        expected, abs=1e-15
-                    )
-
-    def test_photon_register_size(self):
-        _, tip, image, _ = make_parts(3.0)
-        cfg = ModelConfig(n_max=3)
-        assert build_h0(tip, image, cfg).dims == (2, 2, 4)
-
-    @pytest.mark.parametrize("n_max", [None, 1, 64])
-    def test_overflowing_level_is_an_overflow_error(self, n_max):
-        # the top level omega + omega_img (+ n_max * omega) overflows
-        # while omega and omega_img are finite
+    def test_overflowing_level_is_an_overflow_error(self):
+        # the top level omega + omega_img + omega overflows while omega
+        # and omega_img are finite
         _, tip, image, _ = make_parts(1e4, omega=1e308)
-        cfg = None if n_max is None else ModelConfig(n_max=n_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as info:
-                build_h0(tip, image, cfg)
+                build_h0(tip, image)
         assert str(info.value) == (
             "free energy of the top level omega + omega_image + n_max*omega is not"
-            f" finite: omega=1e+308, omega_image={image.omega_image!r},"
-            f" n_max={0 if n_max is None else n_max}"
+            f" finite: omega=1e+308, omega_image={image.omega_image!r}, n_max=1"
         )
 
     def test_top_level_at_the_float_limit_builds(self):
-        # 0.5 + 0 + n_max * 0.5 stays finite up to the largest float
+        # 0.5 + 0 + 0.5 stays finite up to the largest float
         _, tip, image, _ = make_parts(1.0, omega=sys.float_info.max / 2)
-        h0 = build_h0(tip, image, ModelConfig(n_max=1))
+        h0 = build_h0(tip, image)
         assert h0.diagonal().real.max() == sys.float_info.max
 
     @pytest.mark.parametrize("omega", [1.3, 0.3, 1.7])
@@ -115,19 +85,17 @@ class TestFreeHamiltonian:
         sample = DielectricSample(11.7)
         tip = TipDipole(omega=omega, height_nm=0.7)
         image = derive_image(tip, sample)
-        cfg = ModelConfig(n_max=60)
         expected = [
-            i_a * tip.omega + i_b * image.omega_image + n * tip.omega
+            (i_a * tip.omega + i_b * image.omega_image) + tip.omega
             for i_a in (0, 1)
             for i_b in (0, 1)
-            for n in range(61)
         ]
-        assert build_h0(tip, image, cfg).diagonal().real.tolist() == expected
+        assert build_h0(tip, image).diagonal().real.tolist() == expected
 
 
 class TestCouplingTerm:
     def test_pair_block_structure(self):
-        dh = build_delta_h(1.0, None)
+        dh = build_delta_h(1.0)
         expected = np.zeros((4, 4))
         for i, j in [(0, 3), (3, 0), (1, 2), (2, 1)]:
             expected[i, j] = -1.0
@@ -135,80 +103,51 @@ class TestCouplingTerm:
         assert np.all(np.diag(dh.entries) == 0)
 
     def test_hermitian(self):
-        assert build_delta_h(0.37, ModelConfig()).is_hermitian()
-
-    def test_photon_register_untouched(self):
-        cfg = ModelConfig(n_max=2)
-        dh = build_delta_h(0.5, cfg)
-        levels = 3
-        tensor = dh.entries.reshape(4, levels, 4, levels)
-        for n in range(levels):
-            for m in range(levels):
-                if n == m:
-                    continue
-                assert np.all(tensor[:, n, :, m] == 0)
+        assert build_delta_h(0.37).is_hermitian()
 
     def test_parity_conservation(self):
-        cfg = ModelConfig(n_max=1)
-        dh = build_delta_h(0.2, cfg)
-        parity = np.array(
-            [
-                (-1) ** (i_a + i_b)
-                for i_a in (0, 1)
-                for i_b in (0, 1)
-                for _ in range(2)
-            ]
-        )
+        dh = build_delta_h(0.2)
+        parity = np.array([(-1) ** (i_a + i_b) for i_a in (0, 1) for i_b in (0, 1)])
         even = parity == 1
         odd = parity == -1
         assert np.all(dh.entries[np.ix_(even, odd)] == 0)
         assert np.all(dh.entries[np.ix_(odd, even)] == 0)
 
     def test_zero_coupling_is_zero_matrix(self):
-        assert np.all(build_delta_h(0.0, None).entries == 0)
+        assert np.all(build_delta_h(0.0).entries == 0)
 
     @pytest.mark.parametrize("g", [0.0, 0.37, 5.0, 1e-300])
     def test_equals_kron_construction(self, g):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        pair = -g * np.kron(flip, flip)
-        got = build_delta_h(g, None)
+        got = build_delta_h(g)
         assert got.dims == (2, 2)
-        assert np.array_equal(got.entries, pair)
-        for n_max in range(1, 21):
-            levels = n_max + 1
-            got = build_delta_h(g, ModelConfig(n_max=n_max))
-            assert got.dims == (2, 2, levels)
-            assert np.array_equal(got.entries, np.kron(pair, np.eye(levels)))
+        assert np.array_equal(got.entries, -g * np.kron(flip, flip))
 
 
 class TestAssembledPair:
-    def test_stored_as_nonzeros_at_the_n_max_limit(self):
+    def test_n_max_sizes_nothing(self):
         sample, tip, _, _ = make_parts(3.0)
-        cfg = ModelConfig(n_max=N_MAX_LIMIT)
-        pair = build_hamiltonian_pair(tip, sample, cfg)
-        side = 4 * (N_MAX_LIMIT + 1)
-        assert pair.h0.side == pair.delta_h.side == side
-        assert pair.h0.dims == (2, 2, N_MAX_LIMIT + 1)
-        # vacuum ground level has energy 0 and is not stored
-        assert pair.h0.values.size == side - 1
-        assert pair.delta_h.values.size == side
-        assert pair.h0._entries is None and pair.delta_h._entries is None
+        small = build_hamiltonian_pair(tip, sample, ModelConfig(n_max=1))
+        large = build_hamiltonian_pair(tip, sample, ModelConfig(n_max=N_MAX_LIMIT))
+        for a, b in ((small.h0, large.h0), (small.delta_h, large.delta_h)):
+            assert a.dims == b.dims == (2, 2)
+            assert a.entries.tobytes() == b.entries.tobytes()
 
     def test_g_matches_constant(self):
         sample, tip, _, cfg = make_parts(3.0, height=0.5, kappa=1.0)
         pair = build_hamiltonian_pair(tip, sample, cfg)
         assert pair.g == coupling_constant(tip, sample, cfg)
-        assert pair.h0.dims == pair.delta_h.dims == (2, 2, 2)
+        assert pair.h0.dims == pair.delta_h.dims == (2, 2)
 
     def test_perturbed_ground_energy(self):
         """Exact ground state of the assembled model sits a second-order
-        shift below the unperturbed ground level."""
-        _, tip, image, cfg = make_parts(3.0, omega=1.0)
-        h0 = build_h0(tip, image, cfg)
+        shift below the unperturbed ground level, omega = 1."""
+        _, tip, image, _ = make_parts(3.0, omega=1.0)
+        h0 = build_h0(tip, image)
         g = 0.01
-        dh = build_delta_h(g, cfg)
+        dh = build_delta_h(g)
         total = OperatorMatrix(h0.dims, h0.entries + dh.entries)
-        ground = eigh(total)[0][0]
+        ground = eigh(total)[0][0] - 1.0
         gap = 1.25
         exact = (gap - np.sqrt(gap * gap + 4 * g * g)) / 2
         assert ground == pytest.approx(exact, abs=1e-14)
@@ -229,29 +168,20 @@ class TestAssembledPair:
     @given(
         epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
         omega=st.floats(0.05, 5.0),
-        n_max=st.one_of(st.none(), st.integers(1, 16)),
         g=st.floats(0.0, 2.0),
     )
-    def test_regime_warning_matches_all_pairs_reference(
-        self, epsilon_d, omega, n_max, g
-    ):
+    def test_regime_warning_matches_all_pairs_reference(self, epsilon_d, omega, g):
         """The spacing is the smallest gap, in exact arithmetic and rounded
         once, over all pairs of levels the coupling term links."""
         tip = TipDipole(omega=omega, height_nm=1.0)
         image = derive_image(tip, DielectricSample(epsilon_d))
-        cfg = None if n_max is None else ModelConfig(n_max)
-        levels = 1 if cfg is None else cfg.n_max + 1
         exact = [
             i_a * Fraction(tip.omega) + i_b * Fraction(image.omega_image)
-            + k * Fraction(tip.omega)
             for i_a in (0, 1)
             for i_b in (0, 1)
-            for k in range(levels)
         ]
-        coupled = build_delta_h(1.0, cfg)
-        spacing = float(
-            min(abs(exact[i] - exact[j]) for i, j in zip(coupled.rows, coupled.cols))
-        )
+        coupled = np.nonzero(build_delta_h(1.0).entries)
+        spacing = float(min(abs(exact[i] - exact[j]) for i, j in zip(*coupled)))
         expected = ()
         if g > 0.1 * spacing:
             expected = (
@@ -287,7 +217,7 @@ class TestAssembledPair:
             raise AssertionError("the regime check must not build the spectrum")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hamiltonian, "_h0_energies", refuse)
+            patch.setattr(hamiltonian, "build_h0", refuse)
             patch.setattr(hamiltonian, "np", None)
             assert regime_warnings(tip, image, limit) == ()
             assert regime_warnings(tip, image, math.nextafter(limit, math.inf)) != ()
@@ -337,17 +267,15 @@ class TestModelConfig:
 
     def test_resonant_default(self):
         # the photon quantum is the tip gap; it is not a parameter
-        _, tip, image, cfg = make_parts(3.0, omega=1.7, n_max=3)
-        energies = build_h0(tip, image, cfg).diagonal().real
-        assert [energies[basis_index(0, 0, n, 4)] for n in range(4)] == [
-            n * 1.7 for n in range(4)
-        ]
+        _, tip, image, _ = make_parts(3.0, omega=1.7)
+        assert build_h0(tip, image).diagonal().real[basis_index(0, 0, 1, 2)] == 1.7
         with pytest.raises(TypeError):
             ModelConfig(photon_energy=0.9)
 
     def test_basis_index_bounds(self):
-        assert basis_index(1, 0, 1, 2) == 5
-        assert basis_index(1, 1, 1, 2) == 7
+        # the sector index; the photon arguments are checked only
+        assert basis_index(1, 0, 1, 2) == 2
+        assert basis_index(1, 1, 1, 1000) == 3
         with pytest.raises(ValueError):
             basis_index(2, 0, 0, 2)
         with pytest.raises(ValueError):

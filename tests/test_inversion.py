@@ -94,6 +94,18 @@ class TestForward:
             with pytest.raises(TypeError, match=name):
                 forward(3.0, 0.5, 1.0, 1.0, **{name: 1})
 
+    def test_oracle_coefficient_overflow_is_an_overflow_error(self):
+        # g ~ 6e-202 over a gap ~ 1.25e-320: the shift underflows to 0 and
+        # the first-order coefficient overflows, on the oracle route only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                forward(3.0, 1.0, 1e-320, 1e-200, method="oracle")
+        assert str(info.value) == (
+            "first-order coefficient of level 3 in level 0 overflows: (inf+nanj)"
+        )
+        assert forward(3.0, 1.0, 1e-320, 1e-200).amplitude == 1.0
+
     def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("closed route built the Hamiltonian pair")
@@ -143,7 +155,7 @@ class TestClosedRouteRunsNoNumpy:
         def refuse(*args, **kwargs):
             raise AssertionError("the closed route called numpy")
 
-        monkeypatch.setattr(hamiltonian, "_h0_energies", refuse)
+        monkeypatch.setattr(hamiltonian, "build_h0", refuse)
         monkeypatch.setattr(np.linalg, "norm", refuse)
         result = forward(3.0, 0.5, 1.0, 1.0)
         assert result.amplitude == pytest.approx(0.92, abs=1e-15)

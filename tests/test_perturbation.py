@@ -12,13 +12,16 @@ from qsnom.errors import (
     DegenerateGapError,
     NotHermitianError,
 )
+from qsnom.errors import ShiftExceedsGapError
 from qsnom.hamiltonian import (
     ModelConfig,
     basis_index,
     build_delta_h,
     build_h0,
     build_hamiltonian_pair,
+    coupling_constant,
 )
+from qsnom.inversion import forward
 from qsnom.perturbation import rs_pt2, validate_against_exact
 from qsnom.tensor import OperatorMatrix
 
@@ -38,7 +41,7 @@ def dipole_pair(epsilon_d=3.0, omega=1.0):
     sample = DielectricSample(epsilon_d)
     tip = TipDipole(omega=omega, height_nm=0.5)
     image = derive_image(tip, sample)
-    return build_h0(tip, image, None)
+    return build_h0(tip, image)
 
 
 class TestSecondOrder:
@@ -55,7 +58,7 @@ class TestSecondOrder:
 
     def test_dipole_pair_ground(self):
         h0 = dipole_pair()
-        v = build_delta_h(0.01, None)
+        v = build_delta_h(0.01)
         result = rs_pt2(h0, v, 0)
         assert result.e2 == pytest.approx(-8e-5, abs=1e-12)
         assert result.corrected_coefficients[3] == pytest.approx(0.008, rel=1e-12)
@@ -141,7 +144,7 @@ class TestInputChecks:
         # mixed states become degenerate
         eps = 2e13
         h0 = dipole_pair(epsilon_d=eps)
-        v = build_delta_h(1e-4, None)
+        v = build_delta_h(1e-4)
         with pytest.raises(DegenerateGapError):
             rs_pt2(h0, v, 1)
         # the ground state couples through the sum gap and stays safe
@@ -176,6 +179,18 @@ class TestInputChecks:
                 rs_pt2(h0, v, 0)
         assert str(info.value) == "second-order shift of level 0 overflows: -inf"
 
+    def test_coefficient_overflowing_at_a_subnormal_gap_raises(self):
+        # the shift underflows to 0, the first-order coefficient overflows
+        h0 = OperatorMatrix((2,), np.diag([0.0, 1e-320]))
+        v = OperatorMatrix((2,), 1e-200 * SIGMA_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                rs_pt2(h0, v, 0)
+        assert str(info.value).startswith(
+            "first-order coefficient of level 1 in level 0 overflows: (-inf"
+        )
+
     def test_uncoupled_degeneracy_is_fine(self):
         h0 = OperatorMatrix((3,), np.diag([0.0, 0.0, 1.0]))
         v = np.zeros((3, 3), dtype=complex)
@@ -198,17 +213,17 @@ class TestExactComparison:
 
     def test_dipole_pair_residual_small(self):
         h0 = dipole_pair()
-        v = build_delta_h(0.01, None)
+        v = build_delta_h(0.01)
         comparison = validate_against_exact(h0, v, 0)
         assert comparison.residual < 1e-7
 
     def test_residual_quartic_in_coupling(self):
         h0 = dipole_pair()
         g = 0.01
-        previous = validate_against_exact(h0, build_delta_h(g, None), 0).residual
+        previous = validate_against_exact(h0, build_delta_h(g), 0).residual
         for _ in range(3):
             g /= 2
-            current = validate_against_exact(h0, build_delta_h(g, None), 0).residual
+            current = validate_against_exact(h0, build_delta_h(g), 0).residual
             assert previous / current >= 8.0
             previous = current
 
@@ -233,10 +248,9 @@ class TestExactComparison:
         sample = DielectricSample(3.0)
         tip = TipDipole(omega=1.0, height_nm=0.5)
         image = derive_image(tip, sample)
-        cfg = ModelConfig(n_max=1, kappa=1.0)
-        h0 = build_h0(tip, image, cfg)
-        v = build_delta_h(0.01, cfg)
-        comparison = validate_against_exact(h0, v, 1)
+        h0 = build_h0(tip, image)
+        v = build_delta_h(0.01)
+        comparison = validate_against_exact(h0, v, 0)
         gap = 1.25
         exact = 1.0 + (gap - math.sqrt(gap * gap + 4 * 0.01**2)) / 2
         assert comparison.exact_energy == pytest.approx(exact, abs=1e-13)
@@ -258,6 +272,67 @@ class TestExactComparison:
             want.gap_report,
         )
         assert np.array_equal(got.corrected_coefficients, want.corrected_coefficients)
+
+
+def register_pair(tip, sample, cfg, n_max):
+    """(H0, V) on the (tip, image, photon) register at photon numbers
+    0..n_max: the pair's energies plus the photon ladder, and the pair's
+    coupling tensored with the photon identity."""
+    image = derive_image(tip, sample)
+    levels = n_max + 1
+    pairs = [
+        i_a * tip.omega + i_b * image.omega_image for i_a in (0, 1) for i_b in (0, 1)
+    ]
+    energies = (np.array(pairs)[:, None] + np.arange(levels) * tip.omega).ravel()
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = coupling_constant(tip, sample, cfg)
+    v = np.kron(-g * np.kron(flip, flip), np.eye(levels))
+    dims = (2, 2, levels)
+    return OperatorMatrix(dims, np.diag(energies)), OperatorMatrix(dims, v)
+
+
+class TestSectorAgainstRegister:
+    """The one-photon sector gives the register's results bit for bit."""
+
+    @pytest.mark.parametrize("n_max", [1, 8, 64])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+        height_nm=st.floats(0.2, 10.0),
+        omega=st.floats(0.05, 5.0),
+        kappa=st.floats(1e-3, 2.0),
+    )
+    def test_shift_exact_energy_residual_and_amplitude(
+        self, epsilon_d, height_nm, omega, kappa, n_max
+    ):
+        tip = TipDipole(omega=omega, height_nm=height_nm)
+        sample = DielectricSample(epsilon_d)
+        cfg = ModelConfig(kappa=kappa)
+        pair = build_hamiltonian_pair(tip, sample, cfg)
+        h0, v = register_pair(tip, sample, cfg, n_max)
+
+        def observables(comparison, index):
+            pt2 = comparison.pt2
+            amplitude = float(np.real(pt2.normalized_coefficients[index]))
+            return repr((pt2.e0, pt2.e2, comparison.exact_energy,
+                         comparison.residual, amplitude))
+
+        # |g, g, 1> is level 0 of the sector and level 1 of the register
+        got = outcome(lambda: validate_against_exact(pair.h0, pair.delta_h, 0))
+        want = outcome(lambda: validate_against_exact(h0, v, 1))
+        if isinstance(want, tuple):
+            event(f"raises {want[0].__name__}")
+            assert isinstance(got, tuple) and got[0] is want[0]
+            return
+        assert observables(got, 0) == observables(want, 1)
+        try:
+            forward_result = forward(epsilon_d, height_nm, omega, kappa, method="oracle")
+        except ShiftExceedsGapError:
+            return
+        assert repr(forward_result.amplitude) == repr(
+            float(np.real(want.pt2.normalized_coefficients[1]))
+        )
+        assert repr(forward_result.delta_e) == repr(want.pt2.e2)
 
 
 def scattered_blocks(sizes, seed, density):

@@ -11,7 +11,6 @@ from qsnom.errors import (
     NotHermitianError,
     NotNormalizedError,
 )
-from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_delta_h
 from qsnom.tensor import (
     _HERMITIAN_TOL,
     OperatorMatrix,
@@ -60,15 +59,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
-    def test_repr_counts_the_stored_entries(self):
-        assert repr(OperatorMatrix((2,), SIGMA_X)) == "OperatorMatrix(dims=(2,), nonzeros=2)"
-
     def test_read_only(self):
         op = OperatorMatrix((2,), SIGMA_X)
         with pytest.raises(AttributeError):
             op.dims = (3,)
+        with pytest.raises(AttributeError):
+            op.entries = np.eye(2)
         with pytest.raises(ValueError):
-            op.values[0] = 5.0
+            op.diagonal()[0] = 5.0
 
     def test_hermitian_predicate(self):
         assert OperatorMatrix((2,), SIGMA_X).is_hermitian()
@@ -77,40 +75,25 @@ class TestContainers:
         assert not OperatorMatrix((2,), skew).is_hermitian()
 
 
-class TestTriplets:
-    def test_dense_input_is_stored_as_its_nonzeros(self):
+class TestDerivedFields:
+    def test_side_diagonal_and_trace_come_from_the_entries(self):
         m = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1j, 0.0, 3.0]])
         op = OperatorMatrix((3,), m)
         assert op.side == 3
-        assert op.rows.tolist() == [0, 2, 2]
-        assert op.cols.tolist() == [1, 0, 2]
-        assert op.values.tolist() == [2.0, 1j, 3.0]
+        np.testing.assert_array_equal(op.entries, m)
         np.testing.assert_array_equal(op.diagonal(), [0.0, 0.0, 3.0])
         assert op.trace == 3.0
 
-    def test_dense_matrix_is_built_on_first_read_only(self):
-        op = build_delta_h(1.0, ModelConfig(n_max=249))
-        assert op._entries is None
-        assert op.side == 1000 and op.is_hermitian()
-        assert op._entries is None
-        dense = op.entries
-        assert dense is op.entries
-        assert not dense.flags.writeable
-
-    def test_pickle_round_trip(self):
-        op = pickle.loads(pickle.dumps(OperatorMatrix((2,), SIGMA_X)))
-        np.testing.assert_array_equal(op.entries, SIGMA_X)
-        sparse = build_delta_h(0.3, ModelConfig(n_max=N_MAX_LIMIT))
+    def test_pickle_and_copy_round_trip_read_only(self):
+        op = OperatorMatrix((2, 2), np.kron(SIGMA_X, SIGMA_X) * (0.3 + 0.1j))
         copies = [
-            pickle.loads(pickle.dumps(sparse, protocol))
+            pickle.loads(pickle.dumps(op, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
-        for twin in copies + [copy.deepcopy(sparse)]:
-            assert twin.dims == sparse.dims
-            for name in ("rows", "cols", "values"):
-                np.testing.assert_array_equal(getattr(twin, name), getattr(sparse, name))
-                assert not getattr(twin, name).flags.writeable
-            assert twin._entries is None
+        for twin in copies + [copy.copy(op), copy.deepcopy(op)]:
+            assert twin.dims == op.dims
+            np.testing.assert_array_equal(twin.entries, op.entries)
+            assert not twin.entries.flags.writeable
 
 
 def dense_is_hermitian(m, tol):

@@ -5,6 +5,9 @@ import importlib.util
 import inspect
 import io
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import qsnom
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+DIFFFUZZ = ROOT / "tools" / "difffuzz.py"
 
 # the README's library tour, the sweep entry points the benchmark reads
 # from the package, and the error classes under the README's "Error types"
@@ -167,3 +171,34 @@ def test_readme_library_tour_runs():
     with contextlib.redirect_stdout(stdout):
         exec(compile(code, "README.md", "exec"), {})
     assert float(stdout.getvalue()) == pytest.approx(11.7, rel=1e-9)
+
+
+def _difffuzz(old, new, draws):
+    return subprocess.run(
+        [sys.executable, str(DIFFFUZZ), str(old), str(new), "--draws", str(draws)],
+        capture_output=True, text=True, timeout=600,
+    )
+
+
+def test_difffuzz_finds_no_difference_on_one_tree():
+    proc = _difffuzz(ROOT, ROOT, 40)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 240 outcomes changed over 40 draws (seed 1)\n"
+
+
+def test_difffuzz_reports_a_changed_tree(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = tree / "src" / "qsnom" / "__init__.py"
+    # the changed tree doubles g in every forward result
+    init.write_text(init.read_text() + (
+        "\nimport dataclasses as _dc\n"
+        "_forward = forward\n"
+        "def forward(*args, **kwargs):\n"
+        "    result = _forward(*args, **kwargs)\n"
+        "    return _dc.replace(result, g=2.0 * result.g)\n"
+    ))
+    proc = _difffuzz(ROOT, tree, 10)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "  .g: " in proc.stdout
+    assert "ForwardResult -> ForwardResult" in proc.stdout
