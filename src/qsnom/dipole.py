@@ -73,14 +73,14 @@ def _image_gap(alpha: float, omega: float) -> float:
 def _near_field_ratio(separation: float, omega: float, omega_image: float) -> float:
     """Separation over the shorter reduced wavelength of the two gaps.
 
-    A zero image gap has no wavelength. A ratio that overflows raises
-    ``OverflowError``.
+    A zero image gap has no wavelength. A ratio that overflows, or is
+    nan because both lengths overflow, raises ``OverflowError``.
     """
     shortest = HBAR_C_EV_NM / omega
     if omega_image > 0 and HBAR_C_EV_NM / omega_image < shortest:
         shortest = HBAR_C_EV_NM / omega_image
     ratio = separation / shortest
-    if ratio == math.inf:
+    if not ratio < math.inf:
         raise OverflowError(
             f"near-field ratio overflows: separation {separation!r} nm"
             f" over reduced wavelength {shortest!r} nm"
@@ -163,8 +163,8 @@ def near_field_check(
     The separation 2R is compared against the smallest reduced
     wavelength among the two transition energies; the check passes when
     ``2R < factor * min(c/omega)``. A failed check is advisory: callers
-    attach it to run metadata and continue. A ratio that overflows
-    raises ``OverflowError``.
+    attach it to run metadata and continue. A ratio that overflows, or
+    is nan because both lengths overflow, raises ``OverflowError``.
     """
     _positive_finite(factor=factor)
     ratio = _near_field_ratio(tip.separation, tip.omega, image.omega_image)

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import (
-    DielectricSample,
-    ImageDipole,
-    TipDipole,
-    _positive_finite,
-    derive_image,
-)
+from .dipole import DielectricSample, TipDipole, _positive_finite, derive_image
 from .tensor import OperatorMatrix
 
 __all__ = [
@@ -88,40 +82,33 @@ def basis_index(i_a: int, i_b: int, n: int, photon_levels: int) -> int:
     return i_a * 2 + i_b
 
 
-def coupling_constant(
-    tip: TipDipole,
-    sample: DielectricSample,
-    cfg: ModelConfig,
-) -> float:
-    """Dipole-dipole coupling g = kappa * alpha / (2R)^3 in eV."""
-    return _coupling(cfg.kappa, sample.alpha, tip.separation)
+def coupling_constant(kappa: float, alpha: float, separation: float) -> float:
+    """Dipole-dipole coupling g = kappa * alpha / (2R)^3 in eV.
 
-
-def _coupling(kappa: float, alpha: float, separation: float) -> float:
-    # (2R)**3 raises OverflowError where the cube overflows
+    ``separation`` is the tip-image distance 2R in nm. Its cube raises
+    ``OverflowError`` where it overflows.
+    """
     return kappa * alpha / separation**3
 
 
-def build_h0(tip: TipDipole, image: ImageDipole) -> OperatorMatrix:
+def build_h0(omega: float, omega_image: float) -> OperatorMatrix:
     """Diagonal free Hamiltonian of the one-photon sector.
 
     Level ``i_a * 2 + i_b`` has energy
     ``(i_a * omega + i_b * omega_img) + omega``.
     """
-    pairs = [
-        i_a * tip.omega + i_b * image.omega_image for i_a in (0, 1) for i_b in (0, 1)
-    ]
+    pairs = [i_a * omega + i_b * omega_image for i_a in (0, 1) for i_b in (0, 1)]
     # every level is at most the top one, so a finite top leaves numpy
     # nothing to overflow
-    if not math.isfinite(pairs[-1] + tip.omega):
+    if not math.isfinite(pairs[-1] + omega):
         # the wording is the photon register's at n_max = 1, whose top
         # level this is
         raise OverflowError(
             "free energy of the top level omega + omega_image + n_max*omega"
-            f" is not finite: omega={tip.omega!r},"
-            f" omega_image={image.omega_image!r}, n_max=1"
+            f" is not finite: omega={omega!r},"
+            f" omega_image={omega_image!r}, n_max=1"
         )
-    return OperatorMatrix((2, 2), np.diag(np.array(pairs) + tip.omega))
+    return OperatorMatrix((2, 2), np.diag(np.array(pairs) + omega))
 
 
 def build_delta_h(g: float) -> OperatorMatrix:
@@ -134,26 +121,20 @@ def build_delta_h(g: float) -> OperatorMatrix:
     has a zero diagonal and conserves the parity of the total dipole
     excitation number.
     """
+    # an infinite entry would leave nan in the Hermiticity check
+    if not math.isfinite(g):
+        raise OverflowError(f"coupling g = kappa*alpha/(2R)^3 is not finite: g={g!r}")
     return OperatorMatrix((2, 2), np.diag(np.full(4, -g))[::-1])
 
 
-def regime_warnings(
-    tip: TipDipole,
-    image: ImageDipole,
-    g: float,
-) -> tuple[str, ...]:
+def regime_warnings(omega: float, omega_image: float, g: float) -> tuple[str, ...]:
     """Advisory check that g is small against the gaps it couples across.
 
     The coupling links |g,g> to |e,e> across ``omega + omega_img`` and
     |g,e> to |e,g> across ``|omega - omega_img|``; the exchange gap is
-    never the larger. Returns a warning
-    when ``g`` exceeds a tenth of it; the build itself never fails on
-    this.
+    never the larger. Returns a warning when ``g`` exceeds a tenth of
+    it; the build itself never fails on this.
     """
-    return _regime_warnings(tip.omega, image.omega_image, g)
-
-
-def _regime_warnings(omega: float, omega_image: float, g: float) -> tuple[str, ...]:
     spacing = abs(omega - omega_image)
     if g > 0.1 * spacing:
         return (
@@ -169,9 +150,11 @@ def build_hamiltonian_pair(
     cfg: ModelConfig,
 ) -> HamiltonianPair:
     """Derive the image dipole and assemble (H0, coupling) for it."""
-    image = derive_image(tip, sample)
-    g = coupling_constant(tip, sample, cfg)
-    h0 = build_h0(tip, image)
-    delta_h = build_delta_h(g)
-    warns = regime_warnings(tip, image, g)
-    return HamiltonianPair(h0=h0, delta_h=delta_h, g=g, warnings=warns)
+    omega_image = derive_image(tip, sample).omega_image
+    g = coupling_constant(cfg.kappa, sample.alpha, tip.separation)
+    return HamiltonianPair(
+        h0=build_h0(tip.omega, omega_image),
+        delta_h=build_delta_h(g),
+        g=g,
+        warnings=regime_warnings(tip.omega, omega_image, g),
+    )

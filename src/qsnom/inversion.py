@@ -3,7 +3,9 @@
 The forward map takes a permittivity to the emitted frequency of the
 scattered photon; it is strictly decreasing in the permittivity, so a
 measured frequency inside the attainable band pins the permittivity
-down uniquely. On the closed route the shift has the form
+down uniquely. Both routes share one forward body, which checks the
+inputs once on the scalars; only the shift and the amplitude depend on
+the route. On the closed route the shift has the form
 ``s = c x / (1 + x)`` with ``x = alpha^2`` and
 ``c = kappa^2 / ((2R)^3 omega)``, so recovery inverts it in closed form
 (``iterations = 0``). The oracle route searches its numeric shift with
@@ -22,7 +24,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import closedform
-from .dipole import (
+# the value objects, derive_image, near_field_check and
+# build_hamiltonian_pair are no longer called here, but perfbench/tracer.py
+# wraps these names in this module and fails to start without them
+from .dipole import (  # noqa: F401
     DielectricSample,
     TipDipole,
     _alpha,
@@ -34,12 +39,12 @@ from .dipole import (
     near_field_check,
 )
 from .errors import NoConvergenceError, OutOfBracketError, QsnomError
-from .hamiltonian import (
-    HamiltonianPair,
-    ModelConfig,
-    _coupling,
-    _regime_warnings,
+from .hamiltonian import (  # noqa: F401
+    build_delta_h,
+    build_h0,
     build_hamiltonian_pair,
+    coupling_constant,
+    regime_warnings,
 )
 from .perturbation import PerturbationResult, rs_pt2
 
@@ -136,12 +141,15 @@ class InversionResult:
 
 
 def _oracle_pt2(
-    tip: TipDipole, sample: DielectricSample, cfg: ModelConfig
-) -> tuple[HamiltonianPair, PerturbationResult]:
-    """The numeric route's pair and the second-order result for |g, g, 1>,
-    level 0 of the one-photon sector."""
-    pair = build_hamiltonian_pair(tip, sample, cfg)
-    return pair, rs_pt2(pair.h0, pair.delta_h, 0)
+    height_nm: float, alpha: float, omega: float, kappa: float
+) -> PerturbationResult:
+    """The numeric route's second-order result for |g, g, 1>, level 0 of
+    the one-photon sector, from checked inputs."""
+    # g before H0, as build_hamiltonian_pair, so an input that fails both
+    # keeps its error class
+    g = coupling_constant(kappa, alpha, 2.0 * height_nm)
+    h0 = build_h0(omega, _image_gap(alpha, omega))
+    return rs_pt2(h0, build_delta_h(g), 0)
 
 
 def forward(
@@ -155,42 +163,36 @@ def forward(
     """Map a permittivity to the scattered-photon observables.
 
     ``method`` selects the closed-form route (default) or the numeric
-    second-order route for comparison studies. Only the numeric route
-    builds the value objects and the (H0, coupling) matrices; the closed
-    route makes the same checks in the same order on the scalars, then
-    evaluates ``g``, the regime check and the closed form directly.
-    Regime and near-field violations are returned as warnings, never
-    raised.
+    second-order route for comparison studies. Both routes check the
+    inputs once, on the scalars, and derive alpha, the image gap, the
+    near-field ratio, ``g`` and the regime warning from them; neither
+    builds a value object. Only the shift and the amplitude depend on
+    the route: the closed form, or the second-order result on the
+    (H0, coupling) matrices built from the same scalars. Regime and
+    near-field violations are returned as warnings, never raised.
     """
+    if method not in ("closed", "oracle"):
+        raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
+    epsilon_d = _epsilon(epsilon_d)
+    _positive_finite(
+        omega=omega, height_nm=height_nm, kappa=kappa, factor=near_field_factor
+    )
+    alpha = _alpha(epsilon_d)
+    separation = 2.0 * height_nm
+    omega_image = _image_gap(alpha, omega)
+    ratio = _near_field_ratio(separation, omega, omega_image)
+    g = coupling_constant(kappa, alpha, separation)
+    warnings = regime_warnings(omega, omega_image, g)
     if method == "closed":
-        epsilon_d = _epsilon(epsilon_d)
-        _positive_finite(
-            omega=omega, height_nm=height_nm, kappa=kappa, factor=near_field_factor
-        )
-        alpha = _alpha(epsilon_d)
-        separation = 2.0 * height_nm
-        omega_image = _image_gap(alpha, omega)
-        ratio = _near_field_ratio(separation, omega, omega_image)
-        g = _coupling(kappa, alpha, separation)
-        warnings = _regime_warnings(omega, omega_image, g)
         # from the ground state |g, g>
         amplitude, delta_e, omega_s = closedform._photon(
             1.0, 0.0, 0.0, 0.0, height_nm, alpha, omega, kappa
         )
-    elif method == "oracle":
-        sample = DielectricSample(epsilon_d)
-        tip = TipDipole(omega=omega, height_nm=height_nm)
-        image = derive_image(tip, sample)
-        cfg = ModelConfig(kappa=kappa)
-        ratio = near_field_check(tip, image, near_field_factor).ratio
-        pair, result = _oracle_pt2(tip, sample, cfg)
-        epsilon_d, alpha = sample.epsilon_d, sample.alpha
-        g, warnings = pair.g, pair.warnings
-        delta_e = result.e2
-        omega_s = closedform.scattered_frequency(omega, delta_e)
-        amplitude = float(np.real(result.normalized_coefficients[0]))
     else:
-        raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
+        result = _oracle_pt2(height_nm, alpha, omega, kappa)
+        delta_e = result.e2
+        omega_s = closedform._emitted(omega, delta_e)
+        amplitude = float(np.real(result.normalized_coefficients[0]))
 
     passed = ratio < near_field_factor
     if not passed:
@@ -253,9 +255,9 @@ def _closed_shift(
 def _oracle_shift(
     epsilon_d: float, height_nm: float, omega: float, kappa: float
 ) -> float:
-    """The oracle route's ground-state shift, the one :func:`forward` takes."""
-    tip = TipDipole(omega=omega, height_nm=height_nm)
-    return _oracle_pt2(tip, DielectricSample(epsilon_d), ModelConfig(kappa=kappa))[1].e2
+    """The oracle route's ground-state shift, the one :func:`forward` takes,
+    from checked inputs."""
+    return _oracle_pt2(height_nm, _alpha(epsilon_d), omega, kappa).e2
 
 
 def invert_permittivity(problem: InversionProblem) -> InversionResult:

@@ -64,6 +64,11 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy's amplitudes are
+        # read-only too
+        return StateVector, (self.dims, self.amplitudes)
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

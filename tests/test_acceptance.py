@@ -61,7 +61,7 @@ def test_c3_second_order_engine():
     def body():
         sample = DielectricSample(3.0)
         tip = TipDipole(omega=1.0, height_nm=0.5)
-        h0 = build_h0(tip, derive_image(tip, sample))
+        h0 = build_h0(tip.omega, derive_image(tip, sample).omega_image)
         result = rs_pt2(h0, build_delta_h(0.01), 0)
         assert result.e2 == pytest.approx(-8e-5, abs=1e-12)
         comparison = validate_against_exact(h0, build_delta_h(0.01), 0)
@@ -138,7 +138,7 @@ def test_c8_metallic_limit_guards():
             beta_coefficients(mixed, 0.5, 1.0 - 1e-13, 1.0, 1.0)
         sample = DielectricSample(2e13)
         tip = TipDipole(omega=1.0, height_nm=0.5)
-        h0 = build_h0(tip, derive_image(tip, sample))
+        h0 = build_h0(tip.omega, derive_image(tip, sample).omega_image)
         with pytest.raises(DegenerateGapError):
             rs_pt2(h0, build_delta_h(1e-4), 1)
 

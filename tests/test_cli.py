@@ -370,6 +370,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == err
 
+    def test_nan_near_field_ratio_is_a_model_error(self, capsys):
+        # 2R and hbar*c/omega both overflow, and their ratio is nan
+        argv = ["simulate", "--set", "R_nm=1e308", "--set", "omega_eV=5e-324"]
+        assert main(argv) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "model error: OverflowError: near-field ratio overflows:"
+            " separation inf nm over reduced wavelength inf nm\n"
+        )
+
+    def test_infinite_coupling_on_the_oracle_is_an_overflow_error(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-check", "--set", "kappa=1e308",
+                "--set", "oracle_heights_nm=0.001,0.002", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("oracle-check failed on every grid point;")
+        assert err.endswith("coupling g = kappa*alpha/(2R)^3 is not finite: g=inf\n")
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and all(row["error"].startswith("OverflowError: ") for row in rows)
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_old_out_and_leaves_no_temporary(

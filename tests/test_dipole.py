@@ -152,7 +152,10 @@ class TestNearFieldCheck:
         report = near_field_check(tip, ImageDipole(omega_image=4.0))
         assert report.ratio == 2.0 / (HBAR_C_EV_NM / 4.0)
 
-    @pytest.mark.parametrize("omega, height_nm", [(1.0, 1e308), (1e306, 1e5)])
+    # the last pair overflows both lengths, and their ratio is nan
+    @pytest.mark.parametrize(
+        "omega, height_nm", [(1.0, 1e308), (1e306, 1e5), (5e-324, 1e308)]
+    )
     def test_overflowing_ratio_is_an_overflow_error(self, omega, height_nm):
         tip = TipDipole(omega=omega, height_nm=height_nm)
         with pytest.raises(OverflowError, match="^near-field ratio overflows: "):

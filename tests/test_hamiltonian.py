@@ -34,27 +34,28 @@ def make_parts(epsilon_d, omega=1.0, height=0.5, kappa=1.0, n_max=1):
 class TestCoupling:
     def test_reference_value(self):
         sample, tip, _, cfg = make_parts(3.0, height=0.5, kappa=1.0)
-        assert coupling_constant(tip, sample, cfg) == pytest.approx(0.5, abs=1e-15)
+        g = coupling_constant(cfg.kappa, sample.alpha, tip.separation)
+        assert g == pytest.approx(0.5, abs=1e-15)
 
     def test_inverse_cube_in_separation(self):
         for height in (0.3, 0.5, 1.7):
             sample, tip, _, cfg = make_parts(3.0, height=height)
             _, tip2, _, _ = make_parts(3.0, height=2 * height)
-            ratio = coupling_constant(tip, sample, cfg) / coupling_constant(
-                tip2, sample, cfg
-            )
+            ratio = coupling_constant(
+                cfg.kappa, sample.alpha, tip.separation
+            ) / coupling_constant(cfg.kappa, sample.alpha, tip2.separation)
             assert ratio == pytest.approx(8.0, rel=1e-12)
 
     def test_vacuum_decouples(self):
         sample, tip, _, cfg = make_parts(1.0)
-        assert coupling_constant(tip, sample, cfg) == 0.0
+        assert coupling_constant(cfg.kappa, sample.alpha, tip.separation) == 0.0
 
 
 class TestFreeHamiltonian:
     def test_pair_energies_with_image(self):
         # the one-photon sector: the pair's energies plus omega
         _, tip, image, _ = make_parts(3.0, omega=1.0)
-        h0 = build_h0(tip, image)
+        h0 = build_h0(tip.omega, image.omega_image)
         assert h0.dims == (2, 2)
         np.testing.assert_allclose(
             np.diag(h0.entries).real, [1.0, 1.25, 2.0, 2.25], atol=1e-15
@@ -68,7 +69,7 @@ class TestFreeHamiltonian:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as info:
-                build_h0(tip, image)
+                build_h0(tip.omega, image.omega_image)
         assert str(info.value) == (
             "free energy of the top level omega + omega_image + n_max*omega is not"
             f" finite: omega=1e+308, omega_image={image.omega_image!r}, n_max=1"
@@ -77,7 +78,7 @@ class TestFreeHamiltonian:
     def test_top_level_at_the_float_limit_builds(self):
         # 0.5 + 0 + 0.5 stays finite up to the largest float
         _, tip, image, _ = make_parts(1.0, omega=sys.float_info.max / 2)
-        h0 = build_h0(tip, image)
+        h0 = build_h0(tip.omega, image.omega_image)
         assert h0.diagonal().real.max() == sys.float_info.max
 
     @pytest.mark.parametrize("omega", [1.3, 0.3, 1.7])
@@ -90,7 +91,8 @@ class TestFreeHamiltonian:
             for i_a in (0, 1)
             for i_b in (0, 1)
         ]
-        assert build_h0(tip, image).diagonal().real.tolist() == expected
+        h0 = build_h0(tip.omega, image.omega_image)
+        assert h0.diagonal().real.tolist() == expected
 
 
 class TestCouplingTerm:
@@ -112,6 +114,16 @@ class TestCouplingTerm:
         odd = parity == -1
         assert np.all(dh.entries[np.ix_(even, odd)] == 0)
         assert np.all(dh.entries[np.ix_(odd, even)] == 0)
+
+    @pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coupling_is_an_overflow_error(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                build_delta_h(g)
+        assert str(info.value) == (
+            f"coupling g = kappa*alpha/(2R)^3 is not finite: g={g!r}"
+        )
 
     def test_zero_coupling_is_zero_matrix(self):
         assert np.all(build_delta_h(0.0).entries == 0)
@@ -136,14 +148,14 @@ class TestAssembledPair:
     def test_g_matches_constant(self):
         sample, tip, _, cfg = make_parts(3.0, height=0.5, kappa=1.0)
         pair = build_hamiltonian_pair(tip, sample, cfg)
-        assert pair.g == coupling_constant(tip, sample, cfg)
+        assert pair.g == coupling_constant(cfg.kappa, sample.alpha, tip.separation)
         assert pair.h0.dims == pair.delta_h.dims == (2, 2)
 
     def test_perturbed_ground_energy(self):
         """Exact ground state of the assembled model sits a second-order
         shift below the unperturbed ground level, omega = 1."""
         _, tip, image, _ = make_parts(3.0, omega=1.0)
-        h0 = build_h0(tip, image)
+        h0 = build_h0(tip.omega, image.omega_image)
         g = 0.01
         dh = build_delta_h(g)
         total = OperatorMatrix(h0.dims, h0.entries + dh.entries)
@@ -188,7 +200,7 @@ class TestAssembledPair:
                 f"perturbative regime: g={g:.6g} eV exceeds 0.1 x smallest "
                 f"positive level spacing {spacing:.6g} eV",
             )
-        assert regime_warnings(tip, image, g) == expected
+        assert regime_warnings(tip.omega, image.omega_image, g) == expected
 
     def test_non_finite_energy_is_a_classed_error(self):
         # every non-finite level is rejected where it enters, so the
@@ -219,15 +231,17 @@ class TestAssembledPair:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hamiltonian, "build_h0", refuse)
             patch.setattr(hamiltonian, "np", None)
-            assert regime_warnings(tip, image, limit) == ()
-            assert regime_warnings(tip, image, math.nextafter(limit, math.inf)) != ()
+            omega, omega_image = tip.omega, image.omega_image
+            assert regime_warnings(omega, omega_image, limit) == ()
+            above = math.nextafter(limit, math.inf)
+            assert regime_warnings(omega, omega_image, above) != ()
 
     def test_regime_guard_uses_min_positive_gap(self):
         _, tip, image, _ = make_parts(3.0)
         # the coupled gaps are 1 + 0.25 and 1 - 0.25; the 0.25 between
         # (g,g,n) and (g,e,n) is not coupled
-        assert regime_warnings(tip, image, 0.074) == ()
-        assert regime_warnings(tip, image, 0.076) == (
+        assert regime_warnings(tip.omega, image.omega_image, 0.074) == ()
+        assert regime_warnings(tip.omega, image.omega_image, 0.076) == (
             "perturbative regime: g=0.076 eV exceeds 0.1 x smallest "
             "positive level spacing 0.75 eV",
         )
@@ -268,7 +282,8 @@ class TestModelConfig:
     def test_resonant_default(self):
         # the photon quantum is the tip gap; it is not a parameter
         _, tip, image, _ = make_parts(3.0, omega=1.7)
-        assert build_h0(tip, image).diagonal().real[basis_index(0, 0, 1, 2)] == 1.7
+        h0 = build_h0(tip.omega, image.omega_image)
+        assert h0.diagonal().real[basis_index(0, 0, 1, 2)] == 1.7
         with pytest.raises(TypeError):
             ModelConfig(photon_energy=0.9)
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qsnom import closedform, hamiltonian, inversion
+from qsnom import closedform, dipole, hamiltonian, inversion
 from qsnom.dipole import DielectricSample, TipDipole, derive_image, near_field_check
 from qsnom.errors import (
     NoConvergenceError,
@@ -26,6 +26,7 @@ from qsnom.inversion import (
     invert_permittivity,
     run_sweep,
 )
+from qsnom.perturbation import rs_pt2
 
 # epsilon_d = 3, R = 0.5 nm, omega = 1 eV, kappa = 1 eV nm^3
 STRONG = dict(height_nm=0.5, omega=1.0, kappa=1.0)
@@ -106,11 +107,26 @@ class TestForward:
         )
         assert forward(3.0, 1.0, 1e-320, 1e-200).amplitude == 1.0
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_nan_near_field_ratio_is_an_overflow_error(self, method):
+        # 2R and hbar*c/omega both overflow, and their ratio is nan
+        with pytest.raises(OverflowError, match="^near-field ratio overflows: "):
+            forward(3.0, 1e308, 5e-324, 1.0, method=method)
+
+    def test_oracle_infinite_coupling_is_an_overflow_error(self):
+        # g = kappa*alpha/(2R)^3 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                forward(3.0, 0.001, 1.0, 1e308, method="oracle")
+        assert str(info.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
+
     def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("closed route built the Hamiltonian pair")
 
-        monkeypatch.setattr(inversion, "build_hamiltonian_pair", refuse)
+        for name in ("build_hamiltonian_pair", "build_h0", "build_delta_h", "rs_pt2"):
+            monkeypatch.setattr(inversion, name, refuse)
         result = forward(3.0, 0.5, 1.0, 1.0)
         assert result.g == pytest.approx(0.5, rel=1e-15)
         assert any("perturbative regime" in w for w in result.warnings)
@@ -156,6 +172,8 @@ class TestClosedRouteRunsNoNumpy:
             raise AssertionError("the closed route called numpy")
 
         monkeypatch.setattr(hamiltonian, "build_h0", refuse)
+        monkeypatch.setattr(inversion, "build_h0", refuse)
+        monkeypatch.setattr(inversion, "build_delta_h", refuse)
         monkeypatch.setattr(np.linalg, "norm", refuse)
         result = forward(3.0, 0.5, 1.0, 1.0)
         assert result.amplitude == pytest.approx(0.92, abs=1e-15)
@@ -167,7 +185,7 @@ class TestClosedRouteRunsNoNumpy:
 
 
 class TestClosedRouteFromScalars:
-    """The closed route builds no value object and checks each input once."""
+    """Both routes build no value object and check each input once."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -179,15 +197,20 @@ class TestClosedRouteFromScalars:
             return real(**values)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the closed route built a value object")
+            raise AssertionError("forward or the inverse built a value object")
 
-        monkeypatch.setattr(inversion, "_positive_finite", recording)
-        monkeypatch.setattr(closedform, "_positive_finite", recording)
+        for module in (inversion, closedform, hamiltonian, dipole):
+            monkeypatch.setattr(module, "_positive_finite", recording)
         for name in (
-            "DielectricSample", "TipDipole", "derive_image", "near_field_check", "ModelConfig"
+            "DielectricSample",
+            "TipDipole",
+            "derive_image",
+            "near_field_check",
+            "build_hamiltonian_pair",
         ):
             monkeypatch.setattr(inversion, name, refuse)
         monkeypatch.setattr(closedform, "photon_report", refuse)
+        monkeypatch.setattr(closedform, "scattered_frequency", refuse)
         return calls
 
     def test_forward(self, checks):
@@ -200,6 +223,20 @@ class TestClosedRouteFromScalars:
         checks.clear()  # tol_rel and observed_omega_s, checked at construction
         assert invert_permittivity(problem).epsilon_d == pytest.approx(3.0, rel=1e-12)
         # the inverse's own geometry check; the check at the answer repeats none
+        assert checks == [("omega", "height_nm", "kappa")]
+
+    def test_oracle_forward(self, checks):
+        result = forward(3.0, 0.5, 1.0, 1.0, method="oracle")
+        assert result.delta_e == pytest.approx(-0.2, rel=1e-15)
+        assert checks == [("omega", "height_nm", "kappa", "factor")]
+
+    def test_oracle_inverse(self, checks):
+        problem = InversionProblem(observed_omega_s=0.8, **STRONG, method="oracle")
+        checks.clear()
+        result = invert_permittivity(problem)
+        assert result.epsilon_d == pytest.approx(3.0, rel=1e-9)
+        assert result.iterations > 0
+        # one check for the whole root search, none per shift
         assert checks == [("omega", "height_nm", "kappa")]
 
 
@@ -267,6 +304,13 @@ class TestInversion:
         assert problem.tol_rel * problem.omega == 0.0
         result = invert_permittivity(problem)
         assert result == inversion.InversionResult(problem.bracket[0], 0, 0.0)
+
+    def test_oracle_coupling_fails_before_the_free_hamiltonian(self):
+        # (2R)^3 underflows to 0 while omega + omega_img + omega overflows;
+        # g comes first, as in build_hamiltonian_pair
+        problem = InversionProblem(0.5, 5e-324, 1e308, 1.0, method="oracle")
+        with pytest.raises(ZeroDivisionError):
+            invert_permittivity(problem)
 
     def test_oracle_search_out_of_budget(self):
         observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
@@ -861,8 +905,8 @@ def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
     image = derive_image(tip, sample)
     cfg = ModelConfig(kappa=kappa)
     field = near_field_check(tip, image, near_field_factor)
-    g = hamiltonian.coupling_constant(tip, sample, cfg)
-    warns = list(hamiltonian.regime_warnings(tip, image, g))
+    g = hamiltonian.coupling_constant(cfg.kappa, sample.alpha, tip.separation)
+    warns = list(hamiltonian.regime_warnings(tip.omega, image.omega_image, g))
     report = closedform.photon_report(
         closedform.InitialCoefficients.ground_state(),
         height_nm,
@@ -882,6 +926,34 @@ def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
         delta_e=report.delta_e,
         omega_s=report.omega_s,
         amplitude=report.amplitude,
+        near_field_ratio=field.ratio,
+        near_field_passed=field.passed,
+        warnings=tuple(warns),
+    )
+
+
+def composed_oracle_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
+    """The oracle forward map spelled with the public pieces, step by step."""
+    sample = DielectricSample(epsilon_d)
+    tip = TipDipole(omega=omega, height_nm=height_nm)
+    image = derive_image(tip, sample)
+    cfg = ModelConfig(kappa=kappa)
+    field = near_field_check(tip, image, near_field_factor)
+    pair = build_hamiltonian_pair(tip, sample, cfg)
+    result = rs_pt2(pair.h0, pair.delta_h, 0)
+    warns = list(pair.warnings)
+    if not field.passed:
+        warns.append(
+            f"near-field check failed: separation/wavelength ratio "
+            f"{field.ratio:.6g} is not below factor {field.factor:g}"
+        )
+    return ForwardResult(
+        epsilon_d=sample.epsilon_d,
+        alpha=sample.alpha,
+        g=pair.g,
+        delta_e=result.e2,
+        omega_s=closedform.scattered_frequency(omega, result.e2),
+        amplitude=float(np.real(result.normalized_coefficients[0])),
         near_field_ratio=field.ratio,
         near_field_passed=field.passed,
         warnings=tuple(warns),
@@ -1008,3 +1080,33 @@ class TestClosedRouteParity:
         assert strict_outcome(lambda: invert_permittivity(problem)) == strict_outcome(
             lambda: composed_inverse(problem)
         )
+
+
+class TestOracleRouteParity:
+    """The oracle route equals the composition of its public pieces, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon_d=st.one_of(st.just(1.0), st.floats(1.0, 1e4), st.floats(1.0, 1e16)),
+        height_nm=st.floats(0.05, 1e4),
+        omega=st.floats(1e-3, 10.0),
+        kappa=st.floats(1e-4, 10.0),
+        near_field_factor=st.floats(1e-3, 10.0),
+    )
+    def test_forward(self, epsilon_d, height_nm, omega, kappa, near_field_factor):
+        args = (epsilon_d, height_nm, omega, kappa, near_field_factor)
+        got = strict_outcome(lambda: forward(*args, method="oracle"))
+        assert got == strict_outcome(lambda: composed_oracle_forward(*args))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        epsilon_d=extreme_or(st.floats(1.0, 1e4)),
+        height_nm=extreme_or(st.floats(0.05, 10.0)),
+        omega=extreme_or(st.floats(1e-3, 10.0)),
+        kappa=extreme_or(st.floats(1e-4, 10.0)),
+        near_field_factor=extreme_or(st.just(0.1)),
+    )
+    def test_forward_at_extremes(self, epsilon_d, height_nm, omega, kappa, near_field_factor):
+        args = (epsilon_d, height_nm, omega, kappa, near_field_factor)
+        got = strict_outcome(lambda: forward(*args, method="oracle"))
+        assert got == strict_outcome(lambda: composed_oracle_forward(*args))

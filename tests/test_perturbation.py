@@ -41,7 +41,7 @@ def dipole_pair(epsilon_d=3.0, omega=1.0):
     sample = DielectricSample(epsilon_d)
     tip = TipDipole(omega=omega, height_nm=0.5)
     image = derive_image(tip, sample)
-    return build_h0(tip, image)
+    return build_h0(tip.omega, image.omega_image)
 
 
 class TestSecondOrder:
@@ -248,7 +248,7 @@ class TestExactComparison:
         sample = DielectricSample(3.0)
         tip = TipDipole(omega=1.0, height_nm=0.5)
         image = derive_image(tip, sample)
-        h0 = build_h0(tip, image)
+        h0 = build_h0(tip.omega, image.omega_image)
         v = build_delta_h(0.01)
         comparison = validate_against_exact(h0, v, 0)
         gap = 1.25
@@ -285,7 +285,7 @@ def register_pair(tip, sample, cfg, n_max):
     ]
     energies = (np.array(pairs)[:, None] + np.arange(levels) * tip.omega).ravel()
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    g = coupling_constant(tip, sample, cfg)
+    g = coupling_constant(cfg.kappa, sample.alpha, tip.separation)
     v = np.kron(-g * np.kron(flip, flip), np.eye(levels))
     dims = (2, 2, levels)
     return OperatorMatrix(dims, np.diag(energies)), OperatorMatrix(dims, v)

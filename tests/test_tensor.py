@@ -95,6 +95,17 @@ class TestDerivedFields:
             np.testing.assert_array_equal(twin.entries, op.entries)
             assert not twin.entries.flags.writeable
 
+    def test_state_vector_pickle_and_copy_round_trip_read_only(self):
+        psi = StateVector((2,), [1.0, 0.0])
+        copies = [
+            pickle.loads(pickle.dumps(psi, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies + [copy.copy(psi), copy.deepcopy(psi)]:
+            assert twin.dims == psi.dims
+            np.testing.assert_array_equal(twin.amplitudes, psi.amplitudes)
+            assert not twin.amplitudes.flags.writeable
+
 
 def dense_is_hermitian(m, tol):
     """Reference: compare every entry with its mirror."""
