@@ -12,6 +12,7 @@ the two disagree, and the disagreement is reported rather than patched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 DENOMINATOR_TOL = 1e-9
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,15 @@ def _betas(
             f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
             f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
         )
-    pref = (kappa * alpha) ** 2 / (2.0 * (2.0 * height_nm) ** 3)
+    coupling = kappa * alpha
+    square = coupling**2
+    cube = 2.0 * (2.0 * height_nm) ** 3
+    # a square below the normal range loses digits or vanishes where the
+    # correction need not, so there the division comes first
+    if square >= _SMALLEST_NORMAL:
+        pref = square / cube
+    else:
+        pref = coupling * (coupling / cube)
     # divided by each gap twice: its square can leave the float range
     # where the correction does not
     d_sum = omega * (1.0 + alpha * alpha)
@@ -210,9 +220,15 @@ def energy_shift(
 def _shift(
     a1: float, height_nm: float, alpha: float, omega: float, kappa: float
 ) -> float:
-    shift = -(a1**2) * (kappa * alpha) ** 2 / (
-        (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
-    )
+    weight = -(a1**2)
+    coupling = kappa * alpha
+    square = coupling**2
+    denominator = (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
+    # as in _betas, the division comes first where the square is not normal
+    if square >= _SMALLEST_NORMAL:
+        shift = weight * square / denominator
+    else:
+        shift = weight * (coupling * (coupling / denominator))
     return shift + 0.0  # fold -0.0 to +0.0
 
 

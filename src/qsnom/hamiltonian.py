@@ -98,8 +98,8 @@ def build_h0(omega: float, omega_image: float) -> OperatorMatrix:
     ``(i_a * omega + i_b * omega_img) + omega``.
     """
     pairs = [i_a * omega + i_b * omega_image for i_a in (0, 1) for i_b in (0, 1)]
-    # every level is at most the top one, so a finite top leaves numpy
-    # nothing to overflow
+    # every level is at most the top one, so a finite top leaves no level
+    # to overflow
     if not math.isfinite(pairs[-1] + omega):
         # the wording is the photon register's at n_max = 1, whose top
         # level this is
@@ -108,7 +108,7 @@ def build_h0(omega: float, omega_image: float) -> OperatorMatrix:
             f" is not finite: omega={omega!r},"
             f" omega_image={omega_image!r}, n_max=1"
         )
-    return OperatorMatrix((2, 2), np.diag(np.array(pairs) + omega))
+    return OperatorMatrix((2, 2), np.diag([p + omega for p in pairs]))
 
 
 def build_delta_h(g: float) -> OperatorMatrix:
@@ -124,7 +124,11 @@ def build_delta_h(g: float) -> OperatorMatrix:
     # an infinite entry would leave nan in the Hermiticity check
     if not math.isfinite(g):
         raise OverflowError(f"coupling g = kappa*alpha/(2R)^3 is not finite: g={g!r}")
-    return OperatorMatrix((2, 2), np.diag(np.full(4, -g))[::-1])
+    c = -g
+    return OperatorMatrix(
+        (2, 2),
+        [[0.0, 0.0, 0.0, c], [0.0, 0.0, c, 0.0], [0.0, c, 0.0, 0.0], [c, 0.0, 0.0, 0.0]],
+    )
 
 
 def regime_warnings(omega: float, omega_image: float, g: float) -> tuple[str, ...]:

@@ -63,10 +63,11 @@ __all__ = [
 
 SWEEP_AXES = ("epsilon_d", "R", "omega", "kappa")
 
-# Most points a range sweep may ask for. Measured on a 2-core host, a
-# point takes ~50 us with one closed column and up to ~210 us with the
-# numeric column, and ~0.4 to ~0.8 KiB of peak memory, so a sweep at the
-# limit ends within ~2 s and ~8 MiB.
+# Most points a range sweep may ask for. Measured on a 2-core host
+# (Python 3.11), a point takes ~5 us with one closed column and ~80 us
+# with the default columns, the numeric one included, and ~0.2 to
+# ~0.5 KiB of peak traced memory, so a sweep at the limit ends within
+# ~1 s and ~5 MiB.
 SWEEP_COUNT_LIMIT = 10_000
 SWEEP_OUTPUTS = (
     "alpha",
@@ -282,7 +283,18 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     # the geometry checks forward makes, in its order, so invalid inputs
     # keep their class
     _positive_finite(omega=omega, height_nm=height, kappa=kappa)
-    shift = _closed_shift if problem.method == "closed" else _oracle_shift
+    if problem.method == "closed":
+        shift = _closed_shift
+    else:
+        # the band edges, the search's first two steps and the check at its
+        # root would repeat points, so each point's shift is computed once
+        shifts: dict[float, float] = {}
+
+        def shift(eps: float, height: float, omega: float, kappa: float) -> float:
+            if eps not in shifts:
+                shifts[eps] = _oracle_shift(eps, height, omega, kappa)
+            return shifts[eps]
+
     top = closedform._emitted(omega, shift(_epsilon(lo), height, omega, kappa))
     delta_hi = shift(_epsilon(hi), height, omega, kappa)
     # where the shift reaches the gap inside the bracket the band ends at

@@ -18,7 +18,9 @@ the exact energies in the last bit.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
 
 _DEGENERACY_TOL_SCALE = 1e-12  # coupled gaps within this * max|H0| are degenerate
 _OVERLAP_THRESHOLD = 0.5  # least squared overlap that pairs an exact level
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,9 @@ class ExactComparison:
 
 def _check_inputs(
     h0: OperatorMatrix, v: OperatorMatrix, state_index: int
-) -> np.ndarray:
-    """Raise unless the engine applies; return the diagonal of ``h0``."""
+) -> tuple[np.ndarray, float]:
+    """Raise unless the engine applies; return the diagonal of ``h0`` and
+    its largest magnitude."""
     if h0.dims != v.dims:
         raise ValueError(f"dims mismatch: h0 {h0.dims} vs v {v.dims}")
     if not 0 <= state_index < h0.side:
@@ -90,17 +94,24 @@ def _check_inputs(
             f"state_index {state_index} outside 0..{h0.side - 1}"
         )
     diag = h0.diagonal()
+    not_diagonal = "h0 must be diagonal (engine works in its eigenbasis)"
+    if np.count_nonzero(h0.entries) != np.count_nonzero(diag):
+        raise ValueError(not_diagonal)
+    scale = float(np.abs(diag).max())
     # a non-finite diagonal entry is not diagonal either: it leaves a NaN
-    # in h0 - diag(diag(h0))
-    off_diagonal = np.count_nonzero(h0.entries) - np.count_nonzero(diag)
-    if off_diagonal or not np.isfinite(diag).all():
-        raise ValueError("h0 must be diagonal (engine works in its eigenbasis)")
-    # OperatorMatrix.is_hermitian() for a diagonal matrix
-    if not 2 * np.abs(diag.imag).max() <= _HERMITIAN_TOL * np.abs(diag).max():
+    # in h0 - diag(diag(h0)). Such an entry leaves scale non-finite, and so
+    # can a finite complex one whose magnitude overflows
+    if not math.isfinite(scale) and not np.isfinite(diag).all():
+        raise ValueError(not_diagonal)
+    # OperatorMatrix.is_hermitian() for a diagonal matrix; a zero imaginary
+    # part always passes
+    if any(diag.imag.tolist()) and not (
+        2 * np.abs(diag.imag).max() <= _HERMITIAN_TOL * scale
+    ):
         raise NotHermitianError("h0 diagonal must be real")
     if not v.is_hermitian():
         raise NotHermitianError("perturbation v must be Hermitian")
-    return diag
+    return diag, scale
 
 
 def rs_pt2(
@@ -118,21 +129,22 @@ def rs_pt2(
     OverflowError
         If the shift or a first-order coefficient is not finite.
     """
-    diag = _check_inputs(h0, v, state_index)
-    energies = diag.real
+    diag, scale = _check_inputs(h0, v, state_index)
+    # Python floats: their differences are numpy's, bit for bit
+    energies = diag.real.tolist()
     n = state_index
-    tol_deg = _DEGENERACY_TOL_SCALE * float(np.abs(diag).max())
+    tol_deg = _DEGENERACY_TOL_SCALE * scale
 
     e1 = 0.0
     gaps: list[tuple[int, float]] = []
-    column = []  # the coupled entries of v's column n, in ascending row order
-    entries = v.entries[:, n]
-    for m in np.flatnonzero(entries).tolist():
-        value = entries[m]
-        if m == n:
-            e1 = float(np.real(value))
+    column = v.entries[:, n]
+    for m, value in enumerate(column.tolist()):
+        if not value:
             continue
-        gap = float(energies[n] - energies[m])
+        if m == n:
+            e1 = value.real
+            continue
+        gap = energies[n] - energies[m]
         if abs(gap) <= tol_deg:
             raise DegenerateGapError(
                 f"level {m} is degenerate with reference level {n}"
@@ -140,32 +152,37 @@ def rs_pt2(
                 f" while coupled by v"
             )
         gaps.append((m, gap))
-        column.append(value)
 
     coeffs = np.zeros(h0.side, dtype=complex)
     coeffs[n] = 1.0
     e2 = 0.0
-    for (m, gap), value in zip(gaps, column):
+    for m, gap in gaps:
         # in Python floats an overflowing square raises OverflowError
-        # instead of warning and leaving inf in e2; value stays a numpy
-        # scalar, whose division by a float may differ from Python's
-        # complex division in the last bit
-        e2 += abs(complex(value)) ** 2 / gap
+        # instead of warning and leaving inf in e2
+        value = column[m]
+        size = abs(complex(value))
+        square = size**2
+        # a square below the normal range loses digits or vanishes where
+        # the term need not, so there the division comes first
+        e2 += square / gap if square >= _SMALLEST_NORMAL else size * (size / gap)
         if not math.isfinite(e2):
             raise OverflowError(f"second-order shift of level {n} overflows: {e2!r}")
         # a coupling far above a subnormal gap overflows here while e2
-        # underflows to zero
+        # underflows to zero. The entry stays a numpy scalar, whose
+        # division by a float may differ from Python's complex division in
+        # the last bit
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs[m] = value / gap
-        if not np.isfinite(coeffs[m]):
+            coefficient = value / gap
+        if not cmath.isfinite(coefficient):
             raise OverflowError(
                 f"first-order coefficient of level {m} in level {n} overflows:"
-                f" {complex(coeffs[m])!r}"
+                f" {complex(coefficient)!r}"
             )
+        coeffs[m] = coefficient
 
     return PerturbationResult(
         state_index=n,
-        e0=float(energies[n]),
+        e0=energies[n],
         e1=e1,
         e2=e2,
         corrected_coefficients=coeffs,

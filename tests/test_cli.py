@@ -370,6 +370,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == err
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_coupling_whose_square_underflows_is_a_model_error(self, capsys, method):
+        # g = 1e-170 eV squares below the float range, yet g^2 / gap is far
+        # past the 1e-300 eV gap
+        argv = ["simulate", "--set", "epsilon_d=3", "--set", "R_nm=1",
+                "--set", "omega_eV=1e-300", "--set", "kappa=1.6e-169",
+                "--set", f"forward_method={method}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("model error: ShiftExceedsGapError: ")
+
     def test_nan_near_field_ratio_is_a_model_error(self, capsys):
         # 2R and hbar*c/omega both overflow, and their ratio is nan
         argv = ["simulate", "--set", "R_nm=1e308", "--set", "omega_eV=5e-324"]

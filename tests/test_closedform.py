@@ -181,6 +181,24 @@ class TestEnergyShift:
         assert energy_shift(a1, height_nm=height, alpha=alpha, omega=1.0, kappa=0.05) <= 0.0
 
 
+    # kappa alpha = 1e-160 or 1e-170: its square is subnormal or zero, while
+    # the shift is 0.8 omega and the ground correction 0.32
+    UNDERFLOWING_SQUARE = [
+        dict(height_nm=0.5e-40, alpha=0.5, omega=1e-100, kappa=2e-160),
+        dict(height_nm=0.5e-50, alpha=0.5, omega=1e-95, kappa=2e-170),
+    ]
+
+    @pytest.mark.parametrize("point", UNDERFLOWING_SQUARE)
+    def test_coupling_whose_square_underflows_keeps_its_shift(self, point):
+        shift = energy_shift(1.0, **point)
+        assert shift == pytest.approx(-0.8 * point["omega"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("point", UNDERFLOWING_SQUARE)
+    def test_correction_whose_square_underflows_is_kept(self, point):
+        beta = beta_coefficients(InitialCoefficients.ground_state(), **point)
+        assert 1.0 - beta.beta1 == pytest.approx(0.32, rel=1e-12)
+
+
 class TestScatteredFrequency:
     def test_fixture(self):
         assert scattered_frequency(1.0, -0.2) == pytest.approx(0.8, abs=1e-15)

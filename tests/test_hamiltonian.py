@@ -95,6 +95,38 @@ class TestFreeHamiltonian:
         assert h0.diagonal().real.tolist() == expected
 
 
+# finite values from the smallest subnormal to the largest float
+EXTREME_FLOATS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([5e-324, 0.0, sys.float_info.max / 2, sys.float_info.max]),
+)
+
+
+class TestBuildersBitEqual:
+    """The builders' entries equal these numpy formulas, bit for bit."""
+
+    # omega > 0 and omega_image = alpha^2 omega >= 0, so no level is above
+    # the top one
+    @settings(max_examples=300, deadline=None)
+    @given(omega=EXTREME_FLOATS, omega_image=EXTREME_FLOATS)
+    def test_free_hamiltonian(self, omega, omega_image):
+        pairs = [i_a * omega + i_b * omega_image for i_a in (0, 1) for i_b in (0, 1)]
+        with np.errstate(all="ignore"):
+            want = np.diag(np.array(pairs) + omega).astype(complex)
+        try:
+            got = build_h0(omega, omega_image)
+        except OverflowError:
+            assert not np.isfinite(want).all()
+            return
+        assert got.entries.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(EXTREME_FLOATS, EXTREME_FLOATS.map(lambda x: -x)))
+    def test_coupling_term(self, g):
+        want = np.diag(np.full(4, -g))[::-1].astype(complex)
+        assert build_delta_h(g).entries.tobytes() == want.tobytes()
+
+
 class TestCouplingTerm:
     def test_pair_block_structure(self):
         dh = build_delta_h(1.0)

@@ -105,7 +105,9 @@ class TestForward:
         assert str(info.value) == (
             "first-order coefficient of level 3 in level 0 overflows: (inf+nanj)"
         )
-        assert forward(3.0, 1.0, 1e-320, 1e-200).amplitude == 1.0
+        # the closed route's shift, g^2 / gap ~ 2.5e-82 eV, is past the gap
+        with pytest.raises(ShiftExceedsGapError):
+            forward(3.0, 1.0, 1e-320, 1e-200)
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_nan_near_field_ratio_is_an_overflow_error(self, method):
@@ -120,6 +122,19 @@ class TestForward:
             with pytest.raises(OverflowError) as info:
                 forward(3.0, 0.001, 1.0, 1e308, method="oracle")
         assert str(info.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_coupling_whose_square_underflows_is_a_shift_past_the_gap(self, method):
+        # g = 1e-170 eV squares below the float range, yet g^2 / gap ~ 8e-41
+        # eV is far past the 1e-300 eV gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShiftExceedsGapError):
+                forward(3.0, 1.0, 1e-300, 1.6e-169, method=method)
+            # the band's top shift is past the gap too, so there is no band
+            problem = InversionProblem(5e-301, 1.0, 1e-300, 1.6e-169, method=method)
+            with pytest.raises(ShiftExceedsGapError):
+                invert_permittivity(problem)
 
     def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -293,14 +308,18 @@ class TestInversion:
             invert_permittivity(problem)
 
     @pytest.mark.parametrize(
-        "method, omega, tol_rel",
-        [("closed", 1e-320, 1e-10), ("closed", 1e-5, 1e-320), ("oracle", 1e-5, 1e-320)],
+        "method, omega, tol_rel, kappa",
+        [
+            pytest.param("closed", 1e-320, 1e-10, 5e-324, id="closed-1e-320-1e-10"),
+            pytest.param("closed", 1e-5, 1e-320, 1e-200, id="closed-1e-05-1e-320"),
+            pytest.param("oracle", 1e-5, 1e-320, 1e-200, id="oracle-1e-05-1e-320"),
+        ],
     )
     def test_exact_edge_hit_with_tolerance_underflowing_to_zero(
-        self, method, omega, tol_rel
+        self, method, omega, tol_rel, kappa
     ):
         # every shift underflows to 0, so the band is the single point omega
-        problem = InversionProblem(omega, 1.0, omega, 1e-200, tol_rel=tol_rel, method=method)
+        problem = InversionProblem(omega, 1.0, omega, kappa, tol_rel=tol_rel, method=method)
         assert problem.tol_rel * problem.omega == 0.0
         result = invert_permittivity(problem)
         assert result == inversion.InversionResult(problem.bracket[0], 0, 0.0)
@@ -575,15 +594,15 @@ class TestClosedFormInverse:
         assert at_answer.amplitude == pytest.approx(1.0, abs=1e-15)
 
     def test_check_squares_no_gap_below_1e_162(self):
-        # omega (1 +- alpha^2) squared rounds to 0 here
-        problem = InversionProblem(
-            3.4533679164364414e-171, 0.060494781933080465, 1e-170, 1e-160
-        )
-        with pytest.raises(NoConvergenceError, match="closed-form inverse left residual"):
-            invert_permittivity(problem)
+        # omega (1 +- alpha^2) squared rounds to 0 here, and so does
+        # (kappa alpha)^2, while the shift is 0.2 omega
+        geometry = dict(height_nm=0.5, omega=1e-170, kappa=1e-170)
+        observed = self.emitted_at_three(**geometry)
+        result = invert_permittivity(InversionProblem(observed, **geometry))
+        assert result == inversion.InversionResult(3.0, 0, 0.0)
         # forward divides by each gap twice, so it reaches its gap check
         with pytest.raises(ShiftExceedsGapError):
-            forward(3.0, problem.height_nm, problem.omega, problem.kappa)
+            forward(3.0, 0.060494781933080465, 1e-170, 1e-160)
 
 
 def root_search_reference(problem):
@@ -1110,3 +1129,109 @@ class TestOracleRouteParity:
         args = (epsilon_d, height_nm, omega, kappa, near_field_factor)
         got = strict_outcome(lambda: forward(*args, method="oracle"))
         assert got == strict_outcome(lambda: composed_oracle_forward(*args))
+
+
+def uncached_oracle_inverse(problem, shift):
+    """The oracle inverse with no memory of its points: the band edges,
+    the root search and the check at its root each call ``shift``."""
+    lo, hi = problem.bracket
+    height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
+    top = closedform._emitted(omega, shift(lo, height, omega, kappa))
+    delta_hi = shift(hi, height, omega, kappa)
+    bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
+    edge = inversion._band_edge(problem, top, bottom)
+    if edge is not None:
+        return edge
+    observed = problem.observed_omega_s
+    root, info = brentq(
+        lambda eps: omega - abs(shift(eps, height, omega, kappa)) - observed,
+        lo,
+        hi,
+        xtol=1e-12,
+        rtol=1e-15,
+        maxiter=problem.max_iter,
+        full_output=True,
+        disp=False,
+    )
+    epsilon_d, iterations = float(root), int(info.iterations)
+    delta = shift(epsilon_d, height, omega, kappa)
+    emitted = closedform._emitted(omega, delta) if info.converged else omega - abs(delta)
+    residual = abs(emitted - observed)
+    tol_abs = problem.tol_rel * omega
+    if not info.converged or residual >= tol_abs:
+        raise NoConvergenceError(
+            f"root search used {iterations} iterations (budget {problem.max_iter}) and"
+            f" left residual {residual:.3e} eV against tolerance {tol_abs:.3e} eV"
+        )
+    return inversion.InversionResult(epsilon_d, iterations, residual)
+
+
+class TestEachPointOnce:
+    """The oracle inverse computes each point's shift once; the closed
+    inverse computes its three points (two on an edge or outside)."""
+
+    @staticmethod
+    def observation(where, truth, height_nm, kappa):
+        shift = inversion._oracle_shift
+        top = 1.0 - abs(shift(1.0 + 1e-9, height_nm, 1.0, kappa))
+        bottom = 1.0 - abs(shift(1e6, height_nm, 1.0, kappa))
+        return {
+            "answer": 1.0 - abs(shift(truth, height_nm, 1.0, kappa)),
+            "top": top,
+            "bottom": bottom,
+            "above": top + 1e-3,
+            "below": bottom - 1e-3,
+        }[where]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        truth=st.floats(1.01, 1e4),
+        where=st.sampled_from(["answer", "answer", "top", "bottom", "above", "below"]),
+        max_iter=st.sampled_from([1, 3, 200]),
+        height_nm=st.floats(0.3, 4.0),
+        kappa=st.floats(0.05, 2.0),
+    )
+    def test_oracle_inverse(self, truth, where, max_iter, height_nm, kappa):
+        observed = self.observation(where, truth, height_nm, kappa)
+        assume(0.0 < observed < math.inf)
+        problem = InversionProblem(
+            observed, height_nm, 1.0, kappa, max_iter=max_iter, method="oracle"
+        )
+        real = inversion._oracle_shift
+        calls, uncached = [], []
+
+        def recorded(log):
+            def shift(eps, *geometry):
+                log.append(eps)
+                return real(eps, *geometry)
+
+            return shift
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inversion, "_oracle_shift", recorded(calls))
+            got = strict_outcome(lambda: invert_permittivity(problem))
+        want = strict_outcome(
+            lambda: uncached_oracle_inverse(problem, recorded(uncached))
+        )
+        assert got == want
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(uncached)
+
+    # inside the band [0.9375..., 1], on its top edge, above and below it
+    @pytest.mark.parametrize("observed", [0.96, 0.9999, 1.0, 1.2, 0.5])
+    def test_closed_inverse(self, monkeypatch, observed):
+        real = inversion._closed_shift
+        calls = []
+
+        def recorded(eps, *geometry):
+            calls.append(eps)
+            return real(eps, *geometry)
+
+        monkeypatch.setattr(inversion, "_closed_shift", recorded)
+        problem = InversionProblem(observed, 1.0, 1.0, 1.0)
+        result = outcome(lambda: invert_permittivity(problem))
+        lo, hi = problem.bracket
+        if 0.9375001 < observed < 1.0:
+            assert calls == [lo, hi, result.epsilon_d]
+        else:
+            assert calls == [lo, hi]

@@ -191,6 +191,13 @@ class TestInputChecks:
             "first-order coefficient of level 1 in level 0 overflows: (-inf"
         )
 
+    @pytest.mark.parametrize("g", [1e-160, 1e-170])
+    def test_coupling_whose_square_underflows_keeps_its_shift(self, g):
+        # g^2 is subnormal or zero, g^2 / gap is not
+        h0 = OperatorMatrix((2,), np.diag([0.0, 1e-300]))
+        v = OperatorMatrix((2,), g * SIGMA_X)
+        assert rs_pt2(h0, v, 0).e2 == pytest.approx(-g * (g / 1e-300), rel=1e-15, abs=0.0)
+
     def test_uncoupled_degeneracy_is_fine(self):
         h0 = OperatorMatrix((3,), np.diag([0.0, 0.0, 1.0]))
         v = np.zeros((3, 3), dtype=complex)

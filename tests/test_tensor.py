@@ -152,10 +152,15 @@ class TestIsHermitian:
             ([[0.0, 1.0], [0.0, 0.0]], False),
             ([[0.0, 1.0], [1.0 + 1e-13, 0.0]], True),
             ([[np.nan, 0.0], [0.0, 1.0]], False),
+            # non-finite entries that mirror exactly are not Hermitian either
+            ([[np.inf, 0.0], [0.0, 1.0]], False),
+            ([[0.0, np.inf], [np.inf, 0.0]], False),
+            ([[0.0, complex(np.inf, 1.0)], [complex(np.inf, -1.0), 0.0]], False),
         ],
     )
     def test_edge_cases(self, entries, expected):
-        assert OperatorMatrix((2,), np.array(entries)).is_hermitian() is expected
+        with np.errstate(invalid="ignore"):
+            assert OperatorMatrix((2,), np.array(entries)).is_hermitian() is expected
 
 
 class TestEigh:
