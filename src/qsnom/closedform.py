@@ -171,6 +171,18 @@ def _betas(
     # where the correction does not
     d_sum = omega * (1.0 + alpha * alpha)
     d_diff = omega * mixed_gap
+    # a prefactor below the normal range has lost digits or vanished where
+    # the correction need not, so there each gap divides first. An infinite
+    # cube (2R overflows) leaves no correction, as the order below gives
+    if pref < _SMALLEST_NORMAL and cube < math.inf:
+        u1, u2 = coupling * a1 / d_sum, coupling * a2 / d_diff
+        u3, u4 = coupling * a3 / d_sum, coupling * a4 / d_diff
+        return (
+            a1 - u1 * (u1 / cube),
+            a2 - u2 * (u2 / cube),
+            a3 - u3 * (u3 / cube),
+            a4 - u4 * (u4 / cube),
+        )
     return (
         a1 - pref * a1**2 / d_sum / d_sum,
         a2 - pref * a2**2 / d_diff / d_diff,

@@ -6,22 +6,41 @@ their scaling with tip height differs (inverse cube against inverse
 sixth power) and so does the gap dependence. This module measures the
 disagreement on a height sweep and flags it; it never reconciles the
 two routes.
+
+The report runs on the scalars, as ``forward`` does: each input is
+checked once, H0 is built once per report (it depends only on the tip
+and image gaps) and only the coupling term is built at each height.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import struct
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import closedform
-from .dipole import DielectricSample, TipDipole
-from .hamiltonian import ModelConfig, build_hamiltonian_pair
-# rs_pt2 is no longer called here (validate_against_exact returns its
-# result), but perfbench/tracer.py wraps qsnom.crosscheck.rs_pt2 and
-# fails to start without it
+# DielectricSample, TipDipole, build_hamiltonian_pair and rs_pt2 are no
+# longer called here, but perfbench/tracer.py wraps these names in this
+# module and fails to start without them
+from .dipole import (  # noqa: F401
+    DielectricSample,
+    TipDipole,
+    _alpha,
+    _epsilon,
+    _image_gap,
+    _positive_finite,
+)
+from .hamiltonian import (  # noqa: F401
+    ModelConfig,
+    build_delta_h,
+    build_h0,
+    build_hamiltonian_pair,
+    coupling_constant,
+    regime_warnings,
+)
 from .perturbation import rs_pt2, validate_against_exact  # noqa: F401
 
 __all__ = ["ConsistencyRow", "ConsistencyReport", "consistency_report"]
@@ -60,25 +79,28 @@ class ConsistencyRow:
 
 
 _ROW_NUMBERS = tuple(f.name for f in fields(ConsistencyRow) if f.name != "warnings")
+# the three exponents, the mismatch flag and the tip gap omega, ahead of
+# the rows' numbers
+_HEAD = struct.Struct("5d")
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class ConsistencyReport:
     """Height sweep rows plus fitted height-scaling exponents.
 
-    The rows are stored packed, their numbers as the bytes of one float64
-    array and their warnings beside it, and ``rows`` rebuilds them as
-    :class:`ConsistencyRow` objects on each read. A kept report so holds
-    one buffer in place of a Python float object per number, under 1 KiB
-    with four heights. ``notes`` is derived from the exponents when read.
+    The exponents, the mismatch flag, the tip gap and the rows' numbers
+    are stored as the bytes of one float64 buffer, and ``rows`` rebuilds
+    the rows as :class:`ConsistencyRow` objects on each read. A report
+    from :func:`consistency_report` stores no warnings: on each read a
+    row's warnings are the regime check rerun on the stored gap, alpha
+    and ``g``, which gives the same text. A report built from rows keeps
+    their warnings beside the buffer. A kept report of four heights so
+    holds under 448 bytes. ``notes`` is derived from the exponents when
+    read.
     """
 
-    _row_numbers: bytes = field(repr=False)
-    _row_warnings: tuple[tuple[str, ...], ...] = field(repr=False)
-    closed_height_exponent: float
-    oracle_height_exponent: float
-    exact_height_exponent: float
-    scaling_mismatch: bool
+    _numbers: bytes
+    _row_warnings: tuple[tuple[str, ...], ...] | None
 
     def __init__(
         self,
@@ -88,23 +110,46 @@ class ConsistencyReport:
         exact_height_exponent: float,
         scaling_mismatch: bool,
     ) -> None:
-        numbers = [[getattr(row, name) for name in _ROW_NUMBERS] for row in rows]
-        for name, value in (
-            ("_row_numbers", np.array(numbers, dtype=float).tobytes()),
-            ("_row_warnings", tuple(row.warnings for row in rows)),
-            ("closed_height_exponent", closed_height_exponent),
-            ("oracle_height_exponent", oracle_height_exponent),
-            ("exact_height_exponent", exact_height_exponent),
-            ("scaling_mismatch", scaling_mismatch),
-        ):
-            object.__setattr__(self, name, value)
+        head = [
+            closed_height_exponent,
+            oracle_height_exponent,
+            exact_height_exponent,
+            float(scaling_mismatch),
+            math.nan,  # no gap: the rows' warnings are kept instead
+        ]
+        numbers = [getattr(row, name) for row in rows for name in _ROW_NUMBERS]
+        _pack(self, head + numbers, tuple(row.warnings for row in rows))
+
+    @property
+    def closed_height_exponent(self) -> float:
+        return _HEAD.unpack_from(self._numbers)[0]
+
+    @property
+    def oracle_height_exponent(self) -> float:
+        return _HEAD.unpack_from(self._numbers)[1]
+
+    @property
+    def exact_height_exponent(self) -> float:
+        return _HEAD.unpack_from(self._numbers)[2]
+
+    @property
+    def scaling_mismatch(self) -> bool:
+        return _HEAD.unpack_from(self._numbers)[3] != 0.0
 
     @property
     def rows(self) -> tuple[ConsistencyRow, ...]:
-        numbers = np.frombuffer(self._row_numbers).reshape(-1, len(_ROW_NUMBERS))
+        values = memoryview(self._numbers)[_HEAD.size :].cast("d").tolist()
+        width = len(_ROW_NUMBERS)
+        numbers = [values[k : k + width] for k in range(0, len(values), width)]
+        warnings = self._row_warnings
+        if warnings is None:
+            omega = _HEAD.unpack_from(self._numbers)[4]
+            warnings = [
+                regime_warnings(omega, _image_gap(alpha, omega), g)
+                for _, alpha, g, *_ in numbers
+            ]
         return tuple(
-            ConsistencyRow(**dict(zip(_ROW_NUMBERS, values)), warnings=warnings)
-            for values, warnings in zip(numbers.tolist(), self._row_warnings)
+            ConsistencyRow(*row, row_warnings) for row, row_warnings in zip(numbers, warnings)
         )
 
     @property
@@ -116,6 +161,26 @@ class ConsistencyReport:
             f"{self.closed_height_exponent:.6g} vs numeric exponent "
             f"{self.oracle_height_exponent:.6g}",
         )
+
+    def __repr__(self) -> str:
+        return (
+            f"ConsistencyReport(closed_height_exponent={self.closed_height_exponent!r},"
+            f" oracle_height_exponent={self.oracle_height_exponent!r},"
+            f" exact_height_exponent={self.exact_height_exponent!r},"
+            f" scaling_mismatch={self.scaling_mismatch!r})"
+        )
+
+
+def _pack(
+    report: ConsistencyReport,
+    numbers: list[float],
+    row_warnings: tuple[tuple[str, ...], ...] | None,
+) -> ConsistencyReport:
+    """Store ``numbers``, the head then each row's numbers in field
+    order, and the rows' warnings."""
+    object.__setattr__(report, "_numbers", struct.pack(f"{len(numbers)}d", *numbers))
+    object.__setattr__(report, "_row_warnings", row_warnings)
+    return report
 
 
 def _fit_exponent(heights: Sequence[float], values: Sequence[float]) -> float:
@@ -147,60 +212,54 @@ def consistency_report(
     level 0 of the one-photon sector. ``n_max`` is checked by
     :class:`ModelConfig` and sizes nothing. The oracle route is the
     generic second-order engine validated against exact diagonalization,
-    run once per height; the closed-form route is
-    :func:`qsnom.closedform.energy_shift` and the first corrected
-    coefficient. Exponents are least-squares slopes of
+    run once per height on (H0, coupling) matrices built from the
+    checked scalars; the closed-form route is the closed shift and the
+    first corrected coefficient. Exponents are least-squares slopes of
     log|shift| against log height; any engine error propagates.
     """
     if len(heights_nm) == 0:
         raise ValueError("heights_nm must contain at least one height")
-    sample = DielectricSample(epsilon_d)
-    a = closedform.InitialCoefficients.ground_state()
-    cfg = ModelConfig(n_max=n_max, kappa=kappa)
+    alpha = _alpha(_epsilon(epsilon_d))
+    ModelConfig(n_max=n_max, kappa=kappa)
+    _positive_finite(omega=omega)
+    omega_image = _image_gap(alpha, omega)
 
-    rows: list[ConsistencyRow] = []
+    h0 = None
+    rows: list[tuple[float, ...]] = []  # in the order of _ROW_NUMBERS
     for height in heights_nm:
-        tip = TipDipole(omega=omega, height_nm=height)
-        pair = build_hamiltonian_pair(tip, sample, cfg)
-        comparison = validate_against_exact(pair.h0, pair.delta_h, 0)
+        _positive_finite(height_nm=height)
+        g = coupling_constant(kappa, alpha, 2.0 * height)
+        if h0 is None:
+            # after the first g, as build_hamiltonian_pair, so an input
+            # that fails both keeps its error class
+            h0 = build_h0(omega, omega_image)
+        comparison = validate_against_exact(h0, build_delta_h(g), 0)
         result = comparison.pt2
-        exact_shift = comparison.exact_energy - result.e0
+        rows.append((
+            float(height),
+            alpha,
+            g,
+            closedform._shift(1.0, height, alpha, omega, kappa),
+            result.e2,
+            comparison.exact_energy - result.e0,
+            comparison.residual,
+            # from the ground state |g, g>
+            closedform._betas(1.0, 0.0, 0.0, 0.0, height, alpha, omega, kappa)[0],
+            float(np.real(result.normalized_coefficients[0])),
+        ))
 
-        closed_shift = closedform.energy_shift(
-            a.a1, height, sample.alpha, omega, kappa
-        )
-        beta = closedform.beta_coefficients(a, height, sample.alpha, omega, kappa)
-        beta1_oracle = float(np.real(result.normalized_coefficients[0]))
-
-        rows.append(
-            ConsistencyRow(
-                height_nm=float(height),
-                alpha=sample.alpha,
-                g=pair.g,
-                delta_e_closed=closed_shift,
-                delta_e_oracle=result.e2,
-                delta_e_exact=exact_shift,
-                pt2_exact_residual=comparison.residual,
-                beta1_closed=beta.beta1,
-                beta1_oracle=beta1_oracle,
-                warnings=pair.warnings,
-            )
-        )
-
-    heights = [r.height_nm for r in rows]
-    closed_exp = _fit_exponent(heights, [r.delta_e_closed for r in rows])
-    oracle_exp = _fit_exponent(heights, [r.delta_e_oracle for r in rows])
-    exact_exp = _fit_exponent(heights, [r.delta_e_exact for r in rows])
-
+    heights, _, _, closed, oracle, exact, *_ = zip(*rows)
+    # one polyfit per series: one fit of the three as columns differs in
+    # the last bits for some heights
+    closed_exp = _fit_exponent(heights, closed)
+    oracle_exp = _fit_exponent(heights, oracle)
+    exact_exp = _fit_exponent(heights, exact)
     mismatch = (
         math.isfinite(closed_exp)
         and math.isfinite(oracle_exp)
         and abs(closed_exp - oracle_exp) > 0.5
     )
-    return ConsistencyReport(
-        rows=rows,
-        closed_height_exponent=closed_exp,
-        oracle_height_exponent=oracle_exp,
-        exact_height_exponent=exact_exp,
-        scaling_mismatch=mismatch,
-    )
+    head = [closed_exp, oracle_exp, exact_exp, float(mismatch), omega]
+    numbers = [value for row in rows for value in row]
+    # no warnings: ConsistencyReport.rows derives them
+    return _pack(object.__new__(ConsistencyReport), head + numbers, None)

@@ -95,8 +95,12 @@ def build_h0(omega: float, omega_image: float) -> OperatorMatrix:
     """Diagonal free Hamiltonian of the one-photon sector.
 
     Level ``i_a * 2 + i_b`` has energy
-    ``(i_a * omega + i_b * omega_img) + omega``.
+    ``(i_a * omega + i_b * omega_img) + omega``. A negative
+    ``omega_image`` raises ``ValueError``.
     """
+    # below zero, a level other than the top one can overflow
+    if omega_image < 0:
+        raise ValueError(f"omega_image must be >= 0, got {omega_image!r}")
     pairs = [i_a * omega + i_b * omega_image for i_a in (0, 1) for i_b in (0, 1)]
     # every level is at most the top one, so a finite top leaves no level
     # to overflow

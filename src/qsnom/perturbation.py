@@ -190,21 +190,22 @@ def rs_pt2(
     )
 
 
-def _linked_block(v: OperatorMatrix, start: int) -> np.ndarray:
-    """Mask of the basis states reachable from ``start`` through nonzero
-    entries of ``v``.
+def _linked_block(rows: list[list[complex]], start: int) -> list[int]:
+    """The basis states reachable from ``start`` through nonzero entries
+    of the matrix ``rows``, in ascending order.
 
     Links are followed along rows and columns alike, so the set is
     closed under both ``v[i, j] != 0`` and ``v[j, i] != 0``.
     """
-    links = (v.entries != 0) | (v.entries.T != 0)
-    seen = np.zeros(v.side, dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = links[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(rows)):
+            if j not in seen and (rows[i][j] or rows[j][i]):
+                seen.add(j)
+                frontier.append(j)
+    return sorted(seen)
 
 
 def validate_against_exact(
@@ -227,12 +228,21 @@ def validate_against_exact(
     again.
     """
     result = rs_pt2(h0, v, state_index)
-    block = np.flatnonzero(_linked_block(v, state_index))
-    sub = v.entries[np.ix_(block, block)] + np.diag(h0.diagonal()[block])
-    values, vectors = eigh(OperatorMatrix((block.size,), sub))
-    local = int(np.searchsorted(block, state_index))
-    weights = np.abs(vectors[local, :]) ** 2
-    best = int(np.argmax(weights))
+    rows = v.entries.tolist()
+    block = _linked_block(rows, state_index)
+    # the block of V plus diag(H0), added as numpy adds them: off the
+    # diagonal an entry gains a complex zero
+    diag = h0.diagonal().tolist()
+    sub = [[rows[i][j] + (diag[i] if i == j else 0j) for j in block] for i in block]
+    values, vectors = eigh(OperatorMatrix((len(block),), sub))
+    # numpy's |c|, which can differ from Python's in the last bit; its
+    # square is numpy's ** 2, bit for bit
+    sizes = np.abs(vectors[block.index(state_index)]).tolist()
+    weights = [size * size for size in sizes]
+    # as np.argmax: the first nan (an inf entry of v passes the Hermitian
+    # check), else the first of equal largest weights
+    nans = [k for k, weight in enumerate(weights) if weight != weight]
+    best = nans[0] if nans else max(range(len(weights)), key=weights.__getitem__)
     if weights[best] < _OVERLAP_THRESHOLD:
         raise AmbiguousMatchingError(
             f"largest overlap {weights[best]:.3f} with basis state"
@@ -244,6 +254,6 @@ def validate_against_exact(
         pt2_energy=pt2,
         exact_energy=exact,
         residual=abs(exact - pt2),
-        overlap=float(weights[best]),
+        overlap=weights[best],
         pt2=result,
     )

@@ -198,6 +198,20 @@ class TestEnergyShift:
         beta = beta_coefficients(InitialCoefficients.ground_state(), **point)
         assert 1.0 - beta.beta1 == pytest.approx(0.32, rel=1e-12)
 
+    # the prefactor (kappa alpha)^2 / (2 (2R)^3) underflows to 0 (1.25e-341)
+    # or to a subnormal (1.25e-321), while the ground correction it makes
+    # over the squared sum gap is 0.08
+    UNDERFLOWING_PREFACTOR = [
+        dict(height_nm=0.5, alpha=0.5, omega=1e-170, kappa=1e-170),
+        dict(height_nm=0.5, alpha=0.5, omega=1e-160, kappa=1e-160),
+    ]
+
+    @pytest.mark.parametrize("point", UNDERFLOWING_PREFACTOR)
+    def test_correction_whose_prefactor_underflows_is_kept(self, point):
+        report = photon_report(InitialCoefficients.ground_state(), **point)
+        assert report.amplitude == pytest.approx(0.92, rel=1e-12)
+        assert report.delta_e == pytest.approx(-0.2 * point["omega"], rel=1e-12)
+
 
 class TestScatteredFrequency:
     def test_fixture(self):

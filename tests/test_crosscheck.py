@@ -1,15 +1,19 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsnom.crosscheck
 import qsnom.perturbation
 from qsnom.closedform import energy_shift
 from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
 from qsnom.dipole import DielectricSample, TipDipole
+from qsnom.errors import QsnomError
 from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
 from qsnom.perturbation import rs_pt2
 
@@ -66,6 +70,23 @@ class TestConsistencyReport:
         assert row.beta1_closed == pytest.approx(0.9998, rel=1e-12)
         assert 0.0 < row.beta1_abs_diff < 1e-7
         assert row.beta1_oracle == pytest.approx(row.beta1_closed, abs=1e-7)
+
+
+class TestWarnings:
+    def test_rows_warn_as_the_hamiltonian_build(self):
+        # at R = 0.5 nm g exceeds a tenth of |omega - omega_img|; farther
+        # out it does not
+        report = consistency_report(11.7, HEIGHTS, omega=1.0, kappa=0.05)
+        want = [
+            build_hamiltonian_pair(
+                TipDipole(omega=1.0, height_nm=height),
+                DielectricSample(11.7),
+                ModelConfig(kappa=0.05),
+            ).warnings
+            for height in HEIGHTS
+        ]
+        assert [row.warnings for row in report.rows] == want
+        assert want[0] and not want[-1]
 
 
 class TestEngineCalls:
@@ -157,8 +178,9 @@ class TestFootprint:
             per_report = tracemalloc.get_traced_memory()[0] / len(kept)
         finally:
             tracemalloc.stop()
-        # with a Python float object per number a report took about 2 KiB
-        assert per_report < 1024
+        # with a Python float object per number a report took about 2 KiB,
+        # and with its warnings kept, about 0.6 KiB
+        assert per_report < 448
 
     def test_packed_rows_read_back_bit_for_bit(self):
         numbers = [-0.0, math.inf, math.nan, 5e-324, 1.0 / 3.0, -1e300, 0.5, 2.0, 7.0]
@@ -178,6 +200,44 @@ class TestFootprint:
             f"{report.closed_height_exponent:.6g} vs numeric exponent "
             f"{report.oracle_height_exponent:.6g}",
         )
+
+
+EXTREME = st.sampled_from(
+    [0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e-200, 1e300, 1e308, math.inf, -math.inf, math.nan]
+)
+
+
+def extreme_or(lo, hi):
+    return st.one_of(EXTREME, st.floats(lo, hi))
+
+
+class TestContract:
+    """Every input gives finite row numbers or a classed error, and no
+    warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        epsilon_d=st.one_of(extreme_or(1.0, 1e4), st.sampled_from([1.0, 1.001, 1e17])),
+        heights=st.lists(extreme_or(0.2, 10.0), max_size=5),
+        omega=extreme_or(0.05, 5.0),
+        kappa=extreme_or(1e-3, 2.0),
+        n_max=st.one_of(st.integers(-1, 2000), st.sampled_from([1.5, math.nan, math.inf])),
+    )
+    def test_finite_rows_or_a_classed_error(self, epsilon_d, heights, omega, kappa, n_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = consistency_report(
+                    epsilon_d, heights, omega=omega, kappa=kappa, n_max=n_max
+                )
+            except (ValueError, ArithmeticError, QsnomError):
+                return
+            rows = report.rows
+            report.notes
+        assert len(rows) == len(heights)
+        for row in rows:
+            numbers = [getattr(row, name) for name in qsnom.crosscheck._ROW_NUMBERS]
+            assert all(math.isfinite(x) for x in numbers), row
 
 
 # R from 0.3 to 7.5 nm, epsilon_d from 1.001 to 1e4, three kappas, three gaps

@@ -75,6 +75,17 @@ class TestFreeHamiltonian:
             f" finite: omega=1e+308, omega_image={image.omega_image!r}, n_max=1"
         )
 
+    def test_negative_image_gap_is_refused(self):
+        # with omega_image < 0 the top level 0 is finite while level 2,
+        # omega + omega, overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                build_h0(8.98846567431158e307, -1.7976931348623157e308)
+        assert str(info.value) == (
+            "omega_image must be >= 0, got -1.7976931348623157e+308"
+        )
+
     def test_top_level_at_the_float_limit_builds(self):
         # 0.5 + 0 + 0.5 stays finite up to the largest float
         _, tip, image, _ = make_parts(1.0, omega=sys.float_info.max / 2)
@@ -106,10 +117,17 @@ class TestBuildersBitEqual:
     """The builders' entries equal these numpy formulas, bit for bit."""
 
     # omega > 0 and omega_image = alpha^2 omega >= 0, so no level is above
-    # the top one
+    # the top one; a negative omega_image is refused
     @settings(max_examples=300, deadline=None)
-    @given(omega=EXTREME_FLOATS, omega_image=EXTREME_FLOATS)
+    @given(
+        omega=EXTREME_FLOATS,
+        omega_image=st.one_of(EXTREME_FLOATS, EXTREME_FLOATS.map(lambda x: -x)),
+    )
     def test_free_hamiltonian(self, omega, omega_image):
+        if omega_image < 0:
+            with pytest.raises(ValueError, match="^omega_image must be >= 0, got "):
+                build_h0(omega, omega_image)
+            return
         pairs = [i_a * omega + i_b * omega_image for i_a in (0, 1) for i_b in (0, 1)]
         with np.errstate(all="ignore"):
             want = np.diag(np.array(pairs) + omega).astype(complex)

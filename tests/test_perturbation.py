@@ -22,7 +22,7 @@ from qsnom.hamiltonian import (
     coupling_constant,
 )
 from qsnom.inversion import forward
-from qsnom.perturbation import rs_pt2, validate_against_exact
+from qsnom.perturbation import _linked_block, rs_pt2, validate_against_exact
 from qsnom.tensor import OperatorMatrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -556,3 +556,47 @@ class TestAgainstDenseReference:
             (pt2.state_index, pt2.e0, pt2.e1, pt2.e2,
              pt2.corrected_coefficients, pt2.gap_report)
         ) == fields_of(want[4])
+
+
+def frontier_block(entries, start):
+    """The numpy frontier search the exact check ran before the Python
+    walk, kept as the reference."""
+    links = (entries != 0) | (entries.T != 0)
+    seen = np.zeros(len(entries), dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = links[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return np.flatnonzero(seen).tolist()
+
+
+class TestLinkedBlock:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        side=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+        special=st.sampled_from([None, None, -0.0, complex(0.0, -0.0), np.nan, np.inf]),
+        start=st.integers(0, 7),
+        isolated=st.booleans(),
+    )
+    def test_walk_equals_the_frontier_search(
+        self, side, seed, density, special, start, isolated
+    ):
+        # the patterns need not be symmetric: a link runs both ways
+        rng = np.random.default_rng(seed)
+        entries = (rng.random((side, side)) < density) * (
+            rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        )
+        start %= side
+        if special is not None:
+            r, c = rng.integers(0, side, size=2)
+            entries[r, c] = special
+        if isolated:
+            entries[start, :] = 0.0
+            entries[:, start] = 0.0
+        got = _linked_block(entries.tolist(), start)
+        assert got == frontier_block(entries, start)
+        if isolated:
+            assert got == [start]

@@ -9,10 +9,11 @@ on ``PYTHONPATH``. A draw calls ``forward`` and ``invert_permittivity``
 on both routes, ``consistency_report`` and ``photon_report``. Each
 parameter is drawn log-uniformly from a physical range or, one time in
 five, from a list of extreme values (zero, negatives, subnormals, huge
-values, inf and nan). A call's outcome is its returned fields, floats as
-hex, or its error class and message, plus any warning it emitted. Every
-outcome that differs between the trees is printed, then a count of the
-class transitions. The exit status is 0 when nothing differs, 1 when
+values, inf and nan). A call's outcome is its returned value, read
+through its public fields and properties with floats as hex, or its
+error class and message, plus any warning it emitted. Every outcome
+that differs between the trees is printed, then a count of the class
+transitions. The exit status is 0 when nothing differs, 1 when
 something does and 2 when a tree cannot be run.
 """
 
@@ -70,10 +71,12 @@ def _encode(value: object) -> object:
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
     if dataclasses.is_dataclass(value):
-        names = [f.name for f in dataclasses.fields(value) if not f.name.startswith("_")]
-        if isinstance(getattr(type(value), "rows", None), property):
-            names.insert(0, "rows")  # a report that stores its rows packed
-        return {"type": type(value).__name__, **{n: _encode(getattr(value, n)) for n in names}}
+        # public properties too, so a value that stores its numbers packed
+        # and reads them back through properties encodes as one with fields
+        names = {f.name for f in dataclasses.fields(value)}
+        names.update(n for n, a in vars(type(value)).items() if isinstance(a, property))
+        public = sorted(n for n in names if not n.startswith("_"))
+        return {"type": type(value).__name__, **{n: _encode(getattr(value, n)) for n in public}}
     return repr(value)
 
 
