@@ -137,9 +137,19 @@ def beta_coefficients(
         If ``|1 - alpha^2| < 1e-9`` while a mixed amplitude is nonzero.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
+    _check_mixed_gap(alpha, a.a2, a.a4)
     return BetaCoefficients(
         *_betas(a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa)
     )
+
+
+def _check_mixed_gap(alpha: float, a2: float, a4: float) -> None:
+    mixed_gap = 1.0 - alpha * alpha
+    if abs(mixed_gap) < DENOMINATOR_TOL and (a2 != 0 or a4 != 0):
+        raise DegenerateDenominatorError(
+            f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
+            f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
+        )
 
 
 def _betas(
@@ -152,12 +162,9 @@ def _betas(
     omega: float,
     kappa: float,
 ) -> tuple[float, float, float, float]:
+    """The corrected coefficients, from inputs that passed
+    :func:`_check_inputs` and :func:`_check_mixed_gap`."""
     mixed_gap = 1.0 - alpha * alpha
-    if abs(mixed_gap) < DENOMINATOR_TOL and (a2 != 0 or a4 != 0):
-        raise DegenerateDenominatorError(
-            f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
-            f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
-        )
     coupling = kappa * alpha
     square = coupling**2
     cube = 2.0 * (2.0 * height_nm) ** 3
@@ -171,6 +178,10 @@ def _betas(
     # where the correction does not
     d_sum = omega * (1.0 + alpha * alpha)
     d_diff = omega * mixed_gap
+    # the difference gap rounds to 0 at a subnormal omega; zero mixed
+    # amplitudes take no correction there, as dividing by an infinite gap gives
+    if d_diff == 0.0 and a2 == 0.0 and a4 == 0.0:
+        d_diff = math.inf
     # a prefactor below the normal range has lost digits or vanished where
     # the correction need not, so there each gap divides first. An infinite
     # cube (2R overflows) leaves no correction, as the order below gives
@@ -275,7 +286,7 @@ def photon_report(
 ) -> ScatteredPhotonReport:
     """Compose the closed-form scattered photon summary.
 
-    The gap check runs before ``||beta||`` is taken. Below the gap the
+    The gap check runs before beta is computed. Below the gap the
     ground-state correction stays under half its amplitude, so a
     coupling strong enough to overflow that norm fails as
     :class:`ShiftExceedsGapError` instead.
@@ -302,8 +313,14 @@ def _photon(
     omega: float,
     kappa: float,
 ) -> tuple[float, float, float]:
-    """``||beta||``, the shift and the emitted frequency, from checked inputs."""
-    beta = _betas(a1, a2, a3, a4, height_nm, alpha, omega, kappa)
+    """``||beta||``, the shift and the emitted frequency, from checked inputs.
+
+    The gap check runs before beta, so a shift past the gap is the error
+    wherever beta would also fail; a degenerate difference gap is checked
+    first, as :func:`beta_coefficients` checks it.
+    """
+    _check_mixed_gap(alpha, a2, a4)
     delta = _shift(a1, height_nm, alpha, omega, kappa)
     omega_s = _emitted(omega, delta)
+    beta = _betas(a1, a2, a3, a4, height_nm, alpha, omega, kappa)
     return math.hypot(*beta), delta, omega_s

@@ -16,6 +16,7 @@ forward map runs for the emitted frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -115,6 +116,8 @@ class InversionProblem:
     method: str = "closed"
 
     def __post_init__(self) -> None:
+        # one pass over the fields in the order below; _positive_finite runs
+        # only on a value that fails, to word its error
         lo, hi = self.bracket
         if not (lo > 1.0 and hi > lo):
             raise ValueError(
@@ -122,14 +125,19 @@ class InversionProblem:
             )
         if hi == math.inf:
             raise ValueError(f"bracket must be finite, got ({lo!r}, {hi!r})")
-        _positive_finite(tol_rel=self.tol_rel)
+        tol_rel = self.tol_rel
+        if not tol_rel > 0 or tol_rel == math.inf:
+            _positive_finite(tol_rel=tol_rel)
         n = self.max_iter
-        if not (n >= 1 and n != math.inf and int(n) == n):
-            raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "max_iter", int(n))
-        if self.method not in ("closed", "oracle"):
+        if type(n) is not int or n < 1:
+            if not (n >= 1 and n != math.inf and int(n) == n):
+                raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, "max_iter", int(n))
+        if self.method != "closed" and self.method != "oracle":
             raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
-        _positive_finite(observed_omega_s=self.observed_omega_s)
+        observed = self.observed_omega_s
+        if not observed > 0 or observed == math.inf:
+            _positive_finite(observed_omega_s=observed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,6 +269,26 @@ def _oracle_shift(
     return _oracle_pt2(height_nm, _alpha(epsilon_d), omega, kappa).e2
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _band(
+    lo: float, hi: float, height_nm: float, omega: float, kappa: float, method: str
+) -> tuple[float, float, float, float]:
+    """``(delta_lo, delta_hi, top, bottom)``: the route's shift at each
+    bracket end and the attainable band, from a checked geometry.
+
+    Every pixel of a scan at one geometry shares its band, so it is kept
+    for the last 64 geometries and routes. A raised error is not kept.
+    """
+    shift = _closed_shift if method == "closed" else _oracle_shift
+    delta_lo = shift(_epsilon(lo), height_nm, omega, kappa)
+    top = closedform._emitted(omega, delta_lo)
+    delta_hi = shift(_epsilon(hi), height_nm, omega, kappa)
+    # where the shift reaches the gap inside the bracket the band ends at
+    # zero frequency, not at the bracket top
+    bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
+    return delta_lo, delta_hi, top, bottom
+
+
 def invert_permittivity(problem: InversionProblem) -> InversionResult:
     """Recover the permittivity whose emitted frequency matches.
 
@@ -280,32 +308,22 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     """
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
+    method = problem.method
     # the geometry checks forward makes, in its order, so invalid inputs
     # keep their class
     _positive_finite(omega=omega, height_nm=height, kappa=kappa)
-    if problem.method == "closed":
-        shift = _closed_shift
-    else:
-        # the band edges, the search's first two steps and the check at its
-        # root would repeat points, so each point's shift is computed once
-        shifts: dict[float, float] = {}
-
-        def shift(eps: float, height: float, omega: float, kappa: float) -> float:
-            if eps not in shifts:
-                shifts[eps] = _oracle_shift(eps, height, omega, kappa)
-            return shifts[eps]
-
-    top = closedform._emitted(omega, shift(_epsilon(lo), height, omega, kappa))
-    delta_hi = shift(_epsilon(hi), height, omega, kappa)
-    # where the shift reaches the gap inside the bracket the band ends at
-    # zero frequency, not at the bracket top
-    bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
-    edge = _band_edge(problem, top, bottom)
-    if edge is not None:
-        return edge
-
+    try:
+        delta_lo, delta_hi, top, bottom = _band(lo, hi, height, omega, kappa, method)
+    except TypeError:
+        # an unhashable input (a 0-d array, say) has no cache entry
+        delta_lo, delta_hi, top, bottom = _band.__wrapped__(
+            lo, hi, height, omega, kappa, method
+        )
     observed = problem.observed_omega_s
-    if problem.method == "closed":
+    if not bottom < observed < top:
+        return _band_edge(problem, top, bottom)
+
+    if method == "closed":
         # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
         # where c cannot
         s = omega - observed
@@ -314,7 +332,18 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         # a rounds to 1 only for a bracket top next to the metallic limit
         epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
         iterations, converged, how = 0, True, "closed-form inverse"
+        shift = _closed_shift
     else:
+        # the band edges are the search's first two steps, and the check at
+        # its root repeats a point it took, so each point's shift is
+        # computed once
+        shifts = {float(lo): delta_lo, float(hi): delta_hi}
+
+        def shift(eps: float, height: float, omega: float, kappa: float) -> float:
+            if eps not in shifts:
+                shifts[eps] = _oracle_shift(eps, height, omega, kappa)
+            return shifts[eps]
+
         # unlike the emitted frequency, omega - |s| stays defined past the gap
         root, info = brentq(
             lambda eps: omega - abs(shift(eps, height, omega, kappa)) - observed,

@@ -256,6 +256,14 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_difference_gap_underflow_is_a_shift_past_the_gap(self, capsys):
+        # omega (1 - alpha^2) rounds to 0; the shift, not beta, names the failure
+        code = main(["simulate", "--set", "epsilon_d=19", "--set", "omega_eV=5e-324"])
+        assert code == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error: ShiftExceedsGapError: ")
+        assert "Traceback" not in captured.err
+
     def test_n_max_above_the_limit_is_config_error(self, capsys):
         start = time.perf_counter()
         code = main(["simulate", "--set", "n_max=100000000"])

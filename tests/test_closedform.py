@@ -254,6 +254,32 @@ class TestPhotonReport:
                 )
 
 
+class TestDifferenceGapUnderflow:
+    """omega (1 - alpha^2) rounds to 0 at alpha = 0.9, omega = 5e-324."""
+
+    POINT = dict(height_nm=1.0, alpha=0.9, omega=5e-324)
+
+    def test_shift_past_the_gap_is_the_error(self):
+        with pytest.raises(ShiftExceedsGapError):
+            photon_report(InitialCoefficients.ground_state(), **self.POINT, kappa=1.0)
+
+    def test_zero_mixed_amplitudes_take_no_correction(self):
+        beta = beta_coefficients(
+            InitialCoefficients.ground_state(), **self.POINT, kappa=5e-324
+        )
+        assert (beta.beta2, beta.beta3, beta.beta4) == (0.0, 0.0, 0.0)
+        report = photon_report(
+            InitialCoefficients.ground_state(), **self.POINT, kappa=5e-324
+        )
+        assert report.amplitude == beta.norm
+        assert report.delta_e == 0.0
+
+    def test_nonzero_mixed_amplitude_still_fails(self):
+        a = InitialCoefficients(0.6, 0.8, 0.0, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            beta_coefficients(a, **self.POINT, kappa=5e-324)
+
+
 class TestNonFiniteInputs:
     """A non-finite input raises a ValueError that names it."""
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -13,6 +13,7 @@ from qsnom.dipole import DielectricSample, TipDipole, derive_image, near_field_c
 from qsnom.errors import (
     NoConvergenceError,
     OutOfBracketError,
+    QsnomError,
     ShiftExceedsGapError,
     UnsupportedPermittivityError,
 )
@@ -30,6 +31,15 @@ from qsnom.perturbation import rs_pt2
 
 # epsilon_d = 3, R = 0.5 nm, omega = 1 eV, kappa = 1 eV nm^3
 STRONG = dict(height_nm=0.5, omega=1.0, kappa=1.0)
+
+
+@pytest.fixture
+def cold_band():
+    """An empty band cache before and after the test, so band values
+    computed under a patch neither come from nor reach another test."""
+    inversion._band.cache_clear()
+    yield
+    inversion._band.cache_clear()
 
 
 class TestForward:
@@ -135,6 +145,24 @@ class TestForward:
             problem = InversionProblem(5e-301, 1.0, 1e-300, 1.6e-169, method=method)
             with pytest.raises(ShiftExceedsGapError):
                 invert_permittivity(problem)
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_difference_gap_underflow_with_a_strong_coupling(self, method):
+        # omega (1 - alpha^2) = 5e-324 * 0.19 rounds to 0, and the shift is
+        # far past the gap; the gap check runs before ||beta||
+        error = ShiftExceedsGapError if method == "closed" else OverflowError
+        with pytest.raises(error):
+            forward(19.0, 1.0, 5e-324, 1.0, method=method)
+
+    def test_difference_gap_underflow_with_a_tiny_coupling(self):
+        # the same zero difference gap: the ground state's zero mixed
+        # amplitudes add no correction, so both routes answer
+        oracle = forward(19.0, 1.0, 5e-324, 5e-324, method="oracle")
+        closed = forward(19.0, 1.0, 5e-324, 5e-324)
+        assert (oracle.delta_e, oracle.amplitude) == (0.0, 1.0)
+        assert closed.delta_e == 0.0
+        assert closed.omega_s == 5e-324
+        assert 0.0 < closed.amplitude <= 1.0
 
     def test_closed_route_builds_no_hamiltonian(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -532,6 +560,7 @@ class TestBandFloorAtTheGap:
         assert result.residual < problem.tol_rel * problem.omega
 
 
+@pytest.mark.usefixtures("cold_band")
 class TestClosedFormInverse:
     def test_no_forward_call_and_no_root_search(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1166,9 +1195,11 @@ def uncached_oracle_inverse(problem, shift):
     return inversion.InversionResult(epsilon_d, iterations, residual)
 
 
+@pytest.mark.usefixtures("cold_band")
 class TestEachPointOnce:
-    """The oracle inverse computes each point's shift once; the closed
-    inverse computes its three points (two on an edge or outside)."""
+    """On a cold band cache the oracle inverse computes each point's shift
+    once and the closed inverse computes its three points (two on an edge
+    or outside). On a warm cache neither evaluates a band point again."""
 
     @staticmethod
     def observation(where, truth, height_nm, kappa):
@@ -1198,7 +1229,7 @@ class TestEachPointOnce:
             observed, height_nm, 1.0, kappa, max_iter=max_iter, method="oracle"
         )
         real = inversion._oracle_shift
-        calls, uncached = [], []
+        cold, warm, uncached = [], [], []
 
         def recorded(log):
             def shift(eps, *geometry):
@@ -1207,15 +1238,22 @@ class TestEachPointOnce:
 
             return shift
 
+        inversion._band.cache_clear()  # each example starts cold
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(inversion, "_oracle_shift", recorded(calls))
+            patch.setattr(inversion, "_oracle_shift", recorded(cold))
             got = strict_outcome(lambda: invert_permittivity(problem))
+            patch.setattr(inversion, "_oracle_shift", recorded(warm))
+            again = strict_outcome(lambda: invert_permittivity(problem))
         want = strict_outcome(
             lambda: uncached_oracle_inverse(problem, recorded(uncached))
         )
         assert got == want
-        assert len(calls) == len(set(calls))
-        assert set(calls) == set(uncached)
+        assert again == want
+        assert len(cold) == len(set(cold))
+        assert set(cold) == set(uncached)
+        band = list(problem.bracket)
+        assert cold[:2] == band
+        assert warm == [eps for eps in cold if eps not in band]
 
     # inside the band [0.9375..., 1], on its top edge, above and below it
     @pytest.mark.parametrize("observed", [0.96, 0.9999, 1.0, 1.2, 0.5])
@@ -1231,7 +1269,102 @@ class TestEachPointOnce:
         problem = InversionProblem(observed, 1.0, 1.0, 1.0)
         result = outcome(lambda: invert_permittivity(problem))
         lo, hi = problem.bracket
-        if 0.9375001 < observed < 1.0:
-            assert calls == [lo, hi, result.epsilon_d]
-        else:
-            assert calls == [lo, hi]
+        inside = 0.9375001 < observed < 1.0
+        assert calls == ([lo, hi, result.epsilon_d] if inside else [lo, hi])
+        calls.clear()
+        assert outcome(lambda: invert_permittivity(problem)) == result
+        assert calls == ([result.epsilon_d] if inside else [])
+
+
+# One inversion's inputs: plain values, of which up to three at once take
+# an extreme value (max_iter's own extremes included), and a route
+INVERSION_DRAWS = dict(
+    plain=st.fixed_dictionaries(
+        {
+            # observed = omega (1 - 10**depth), at every depth in the band
+            "depth": st.floats(-12.0, -0.1),
+            "height_nm": st.floats(0.05, 10.0),
+            "omega": st.floats(1e-3, 10.0),
+            "kappa": st.floats(1e-4, 10.0),
+            "lo": st.sampled_from((1.0 + 1e-9, 1.5, 2)),
+            "hi": st.sampled_from((10, 1e6, 1e15)),
+            "tol_rel": st.sampled_from((1e-10, 1e-3)),
+            "max_iter": st.sampled_from((1, 3, 200, 2.0, True)),
+        }
+    ),
+    extreme=st.dictionaries(
+        st.sampled_from(
+            ("observed", "height_nm", "omega", "kappa", "lo", "hi", "tol_rel", "max_iter")
+        ),
+        st.sampled_from(EXTREMES + (1.0, 2.5, 1e17, True, False)),
+        max_size=3,
+    ),
+    method=st.sampled_from(("closed", "oracle")),
+)
+
+
+def drawn_problem(plain, extreme, method):
+    v = dict(plain, observed=plain["omega"] * (1.0 - 10.0 ** plain["depth"]))
+    v.update(extreme)
+    return InversionProblem(
+        v["observed"], v["height_nm"], v["omega"], v["kappa"],
+        (v["lo"], v["hi"]), v["tol_rel"], v["max_iter"], method,
+    )
+
+
+class TestBandCache:
+    """The band is kept per geometry and route; a warm cache changes no
+    outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**INVERSION_DRAWS)
+    def test_warm_outcome_is_the_cold_one(self, plain, extreme, method):
+        try:
+            problem = drawn_problem(plain, extreme, method)
+        except ValueError:
+            assume(False)
+        inversion._band.cache_clear()
+        cold = strict_outcome(lambda: invert_permittivity(problem))
+        event("answer" if isinstance(cold, str) else cold[0].__name__)
+        assert strict_outcome(lambda: invert_permittivity(problem)) == cold
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_failing_geometry_raises_on_every_call(self, cold_band, method):
+        # the shift at the band top is past the gap: there is no band
+        problem = InversionProblem(5e-301, 1.0, 1e-300, 1.6e-169, method=method)
+        first = outcome(lambda: invert_permittivity(problem))
+        assert first[0] is ShiftExceedsGapError
+        assert outcome(lambda: invert_permittivity(problem)) == first
+        assert inversion._band.cache_info().currsize == 0
+
+    def test_int_and_float_keys_are_separate_entries(self, cold_band):
+        for height_nm in (1, 1.0):
+            invert_permittivity(InversionProblem(0.98, height_nm, 1.0, 1.0))
+        info = inversion._band.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        invert_permittivity(InversionProblem(0.97, 1, 1.0, 1.0))
+        assert inversion._band.cache_info().hits == 1
+
+
+CONTRACT_ERRORS = (ValueError, ArithmeticError, QsnomError)
+
+
+class TestInversionContract:
+    """``InversionProblem`` with ``invert_permittivity``, on both routes,
+    returns finite numbers or raises a ``ValueError``, an
+    ``ArithmeticError`` or a ``QsnomError``, with warnings as errors."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(**INVERSION_DRAWS)
+    def test_finite_answer_or_classed_error(self, plain, extreme, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = invert_permittivity(drawn_problem(plain, extreme, method))
+            except CONTRACT_ERRORS as exc:
+                event(type(exc).__name__)
+                return
+        event("answer")
+        assert math.isfinite(result.epsilon_d)
+        assert math.isfinite(result.residual)
+        assert type(result.iterations) is int and result.iterations >= 0

@@ -7,6 +7,8 @@ Run from anywhere:
 Each tree runs the draws in its own subprocess, with its ``src/`` first
 on ``PYTHONPATH``. A draw calls ``forward`` and ``invert_permittivity``
 on both routes, ``consistency_report`` and ``photon_report``. Each
+inversion runs twice, so the second call meets the band the first one
+left in the band cache. Each
 parameter is drawn log-uniformly from a physical range or, one time in
 five, from a list of extreme values (zero, negatives, subnormals, huge
 values, inf and nan). A call's outcome is its returned value, read
@@ -129,9 +131,11 @@ def _run(draws: int, seed: int) -> None:
                 except Exception:  # the forward call's own outcome shows it
                     pass
             args = (observed, d["height_nm"], d["omega"], d["kappa"])
-            calls.append((f"invert[{method}]", args + (d["max_iter"],),
-                          lambda a=args, m=method: qsnom.invert_permittivity(
-                              qsnom.InversionProblem(*a, max_iter=d["max_iter"], method=m))))
+            invert = (lambda a=args, m=method: qsnom.invert_permittivity(
+                qsnom.InversionProblem(*a, max_iter=d["max_iter"], method=m)))
+            # the second call finds the band the first one computed
+            calls.append((f"invert[{method}]", args + (d["max_iter"],), invert))
+            calls.append((f"invert[{method}] again", args + (d["max_iter"],), invert))
         heights = (d["height_nm"], 2.0 * d["height_nm"], 4.0 * d["height_nm"])
         calls.append(("consistency_report", (d["epsilon_d"], heights, d["omega"], d["kappa"]),
                       lambda: qsnom.consistency_report(
