@@ -64,6 +64,8 @@ __all__ = [
 
 SWEEP_AXES = ("epsilon_d", "R", "omega", "kappa")
 
+_C_INT_MAX = 2**31 - 1
+
 # Most points a range sweep may ask for. Measured on a 2-core host
 # (Python 3.11), a point takes ~5 us with one closed column and ~80 us
 # with the default columns, the numeric one included, and ~0.2 to
@@ -305,6 +307,10 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     emitted frequency at the answer gives the residual;
     :class:`NoConvergenceError` is raised if it is not below
     ``tol_rel * omega`` or the search ran out of its budget.
+
+    The band is computed once per geometry and route and kept in a
+    64-entry cache, so later pixels of a scan at one geometry skip its
+    two shifts. The search computes each other point's shift once.
     """
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
@@ -351,7 +357,8 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
             hi,
             xtol=1e-12,
             rtol=1e-15,
-            maxiter=problem.max_iter,
+            # brentq takes its budget as a C int; no search needs more
+            maxiter=min(problem.max_iter, _C_INT_MAX),
             full_output=True,
             disp=False,
         )

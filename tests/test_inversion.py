@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -358,6 +358,14 @@ class TestInversion:
         problem = InversionProblem(0.5, 5e-324, 1e308, 1.0, method="oracle")
         with pytest.raises(ZeroDivisionError):
             invert_permittivity(problem)
+
+    @pytest.mark.parametrize("max_iter", [2**31, 1e300])
+    def test_oracle_budget_past_a_c_int(self, max_iter):
+        # brentq takes its budget as a C int; a search needs far fewer
+        observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
+        problem = InversionProblem(observed, 1.0, 1.0, 0.05, method="oracle")
+        huge = InversionProblem(observed, 1.0, 1.0, 0.05, max_iter=max_iter, method="oracle")
+        assert invert_permittivity(huge) == invert_permittivity(problem)
 
     def test_oracle_search_out_of_budget(self):
         observed = forward(3.0, 1.0, 1.0, 0.05, method="oracle").omega_s
@@ -1345,6 +1353,14 @@ class TestBandCache:
         invert_permittivity(InversionProblem(0.97, 1, 1.0, 1.0))
         assert inversion._band.cache_info().hits == 1
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_unhashable_input_computes_the_band_uncached(self, cold_band, method):
+        # a 0-d array passes every check but cannot key the cache
+        plain = InversionProblem(0.995, 1.0, 1.0, 1.0, method=method)
+        array = InversionProblem(0.995, np.array(1.0), 1.0, 1.0, method=method)
+        assert invert_permittivity(array) == invert_permittivity(plain)
+        assert inversion._band.cache_info().currsize == 1
+
 
 CONTRACT_ERRORS = (ValueError, ArithmeticError, QsnomError)
 
@@ -1355,6 +1371,14 @@ class TestInversionContract:
     ``ArithmeticError`` or a ``QsnomError``, with warnings as errors."""
 
     @settings(max_examples=500, deadline=None)
+    @example(
+        plain=dict(
+            depth=-3.0, height_nm=1.0, omega=1.0, kappa=1.0,
+            lo=1.5, hi=1e6, tol_rel=1e-10, max_iter=200,
+        ),
+        extreme={"max_iter": 1e300},
+        method="oracle",
+    )
     @given(**INVERSION_DRAWS)
     def test_finite_answer_or_classed_error(self, plain, extreme, method):
         with warnings.catch_warnings():
