@@ -134,21 +134,34 @@ def beta_coefficients(
     Raises
     ------
     DegenerateDenominatorError
-        If ``|1 - alpha^2| < 1e-9`` while a mixed amplitude is nonzero.
+        If ``|1 - alpha^2| < 1e-9``, or the difference gap
+        ``omega * (1 - alpha^2)`` rounds to 0, while a mixed amplitude is
+        nonzero.
+    OverflowError
+        If a corrected coefficient overflows; it names the first one.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
-    _check_mixed_gap(alpha, a.a2, a.a4)
-    return BetaCoefficients(
-        *_betas(a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa)
-    )
+    _check_mixed_gap(alpha, omega, a.a2, a.a4)
+    beta = _betas(a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa)
+    for k, value in enumerate(beta, start=1):
+        if not math.isfinite(value):
+            raise OverflowError(f"corrected coefficient beta{k} overflows: {value!r}")
+    return BetaCoefficients(*beta)
 
 
-def _check_mixed_gap(alpha: float, a2: float, a4: float) -> None:
+def _check_mixed_gap(alpha: float, omega: float, a2: float, a4: float) -> None:
+    if a2 == 0 and a4 == 0:
+        return
     mixed_gap = 1.0 - alpha * alpha
-    if abs(mixed_gap) < DENOMINATOR_TOL and (a2 != 0 or a4 != 0):
+    if abs(mixed_gap) < DENOMINATOR_TOL:
         raise DegenerateDenominatorError(
             f"difference gap 1 - alpha^2 = {mixed_gap:.3e} is too small for"
             f" nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
+        )
+    if omega * mixed_gap == 0.0:
+        raise DegenerateDenominatorError(
+            f"difference gap omega * (1 - alpha^2) rounds to 0 (omega={omega!r},"
+            f" alpha={alpha!r}) for nonzero mixed amplitudes (a2={a2!r}, a4={a4!r})"
         )
 
 
@@ -178,9 +191,10 @@ def _betas(
     # where the correction does not
     d_sum = omega * (1.0 + alpha * alpha)
     d_diff = omega * mixed_gap
-    # the difference gap rounds to 0 at a subnormal omega; zero mixed
-    # amplitudes take no correction there, as dividing by an infinite gap gives
-    if d_diff == 0.0 and a2 == 0.0 and a4 == 0.0:
+    # the difference gap rounds to 0 at a subnormal omega, where
+    # _check_mixed_gap lets only zero mixed amplitudes through; they take
+    # no correction, as dividing by an infinite gap gives
+    if d_diff == 0.0:
         d_diff = math.inf
     # a prefactor below the normal range has lost digits or vanished where
     # the correction need not, so there each gap divides first. An infinite
@@ -235,9 +249,18 @@ def energy_shift(
     second-order route scales with the inverse sixth power and a
     squared gap. ``crosscheck.consistency_report`` measures the gap
     between the two routes instead of reconciling them.
+
+    Raises
+    ------
+    ShiftExceedsGapError
+        If the shift overflows, as an infinite shift reaches every gap;
+        the message is :func:`scattered_frequency`'s for that shift.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
-    return _shift(a1, height_nm, alpha, omega, kappa)
+    shift = _shift(a1, height_nm, alpha, omega, kappa)
+    if math.isinf(shift):
+        _emitted(omega, shift)  # raises: an infinite shift reaches the gap
+    return shift
 
 
 def _shift(
@@ -260,11 +283,15 @@ def scattered_frequency(omega: float, delta_e: float) -> float:
 
     Raises
     ------
+    ValueError
+        If ``delta_e`` is nan.
     ShiftExceedsGapError
         If the shift magnitude reaches the bare gap, which would drive
         the emitted frequency to zero or below.
     """
     _positive_finite(omega=omega)
+    if math.isnan(delta_e):
+        raise ValueError("delta_e must not be nan")
     return _emitted(omega, delta_e)
 
 
@@ -289,15 +316,20 @@ def photon_report(
     The gap check runs before beta is computed. Below the gap the
     ground-state correction stays under half its amplitude, so a
     coupling strong enough to overflow that norm fails as
-    :class:`ShiftExceedsGapError` instead.
+    :class:`ShiftExceedsGapError` instead. The gap check does not bound
+    the other amplitudes' corrections; where one overflows the
+    probability weight, it raises ``OverflowError``.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
     amp, delta, omega_s = _photon(
         a.a1, a.a2, a.a3, a.a4, height_nm, alpha, omega, kappa
     )
+    weight = amp * amp
+    if not math.isfinite(weight):
+        raise OverflowError(f"probability weight overflows: {weight!r} (amplitude {amp!r})")
     return ScatteredPhotonReport(
         amplitude=amp,
-        probability_weight=amp * amp,
+        probability_weight=weight,
         delta_e=delta,
         omega_s=omega_s,
     )
@@ -319,7 +351,7 @@ def _photon(
     wherever beta would also fail; a degenerate difference gap is checked
     first, as :func:`beta_coefficients` checks it.
     """
-    _check_mixed_gap(alpha, a2, a4)
+    _check_mixed_gap(alpha, omega, a2, a4)
     delta = _shift(a1, height_nm, alpha, omega, kappa)
     omega_s = _emitted(omega, delta)
     beta = _betas(a1, a2, a3, a4, height_nm, alpha, omega, kappa)

@@ -84,41 +84,20 @@ _ROW_NUMBERS = tuple(f.name for f in fields(ConsistencyRow) if f.name != "warnin
 _HEAD = struct.Struct("5d")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ConsistencyReport:
     """Height sweep rows plus fitted height-scaling exponents.
 
-    The exponents, the mismatch flag, the tip gap and the rows' numbers
-    are stored as the bytes of one float64 buffer, and ``rows`` rebuilds
-    the rows as :class:`ConsistencyRow` objects on each read. A report
-    from :func:`consistency_report` stores no warnings: on each read a
-    row's warnings are the regime check rerun on the stored gap, alpha
-    and ``g``, which gives the same text. A report built from rows keeps
-    their warnings beside the buffer. A kept report of four heights so
-    holds under 448 bytes. ``notes`` is derived from the exponents when
-    read.
+    ``_numbers`` holds the bytes of one float64 buffer: the exponents,
+    the mismatch flag and the tip gap, then each row's numbers in
+    ``_ROW_NUMBERS`` order. ``rows`` rebuilds the rows as
+    :class:`ConsistencyRow` objects on each read, and a row's warnings
+    are the regime check rerun on the stored gap, alpha and ``g``. A
+    kept report of four heights so holds under 448 bytes. ``notes`` is
+    derived from the exponents when read.
     """
 
     _numbers: bytes
-    _row_warnings: tuple[tuple[str, ...], ...] | None
-
-    def __init__(
-        self,
-        rows: Sequence[ConsistencyRow],
-        closed_height_exponent: float,
-        oracle_height_exponent: float,
-        exact_height_exponent: float,
-        scaling_mismatch: bool,
-    ) -> None:
-        head = [
-            closed_height_exponent,
-            oracle_height_exponent,
-            exact_height_exponent,
-            float(scaling_mismatch),
-            math.nan,  # no gap: the rows' warnings are kept instead
-        ]
-        numbers = [getattr(row, name) for row in rows for name in _ROW_NUMBERS]
-        _pack(self, head + numbers, tuple(row.warnings for row in rows))
 
     @property
     def closed_height_exponent(self) -> float:
@@ -138,18 +117,14 @@ class ConsistencyReport:
 
     @property
     def rows(self) -> tuple[ConsistencyRow, ...]:
+        omega = _HEAD.unpack_from(self._numbers)[4]
         values = memoryview(self._numbers)[_HEAD.size :].cast("d").tolist()
         width = len(_ROW_NUMBERS)
-        numbers = [values[k : k + width] for k in range(0, len(values), width)]
-        warnings = self._row_warnings
-        if warnings is None:
-            omega = _HEAD.unpack_from(self._numbers)[4]
-            warnings = [
-                regime_warnings(omega, _image_gap(alpha, omega), g)
-                for _, alpha, g, *_ in numbers
-            ]
+        rows = (values[k : k + width] for k in range(0, len(values), width))
+        # row[1] is alpha and row[2] is g, in _ROW_NUMBERS order
         return tuple(
-            ConsistencyRow(*row, row_warnings) for row, row_warnings in zip(numbers, warnings)
+            ConsistencyRow(*row, regime_warnings(omega, _image_gap(row[1], omega), row[2]))
+            for row in rows
         )
 
     @property
@@ -169,18 +144,6 @@ class ConsistencyReport:
             f" exact_height_exponent={self.exact_height_exponent!r},"
             f" scaling_mismatch={self.scaling_mismatch!r})"
         )
-
-
-def _pack(
-    report: ConsistencyReport,
-    numbers: list[float],
-    row_warnings: tuple[tuple[str, ...], ...] | None,
-) -> ConsistencyReport:
-    """Store ``numbers``, the head then each row's numbers in field
-    order, and the rows' warnings."""
-    object.__setattr__(report, "_numbers", struct.pack(f"{len(numbers)}d", *numbers))
-    object.__setattr__(report, "_row_warnings", row_warnings)
-    return report
 
 
 def _fit_exponent(heights: Sequence[float], values: Sequence[float]) -> float:
@@ -259,7 +222,6 @@ def consistency_report(
         and math.isfinite(oracle_exp)
         and abs(closed_exp - oracle_exp) > 0.5
     )
-    head = [closed_exp, oracle_exp, exact_exp, float(mismatch), omega]
-    numbers = [value for row in rows for value in row]
-    # no warnings: ConsistencyReport.rows derives them
-    return _pack(object.__new__(ConsistencyReport), head + numbers, None)
+    numbers = [closed_exp, oracle_exp, exact_exp, float(mismatch), omega]
+    numbers += [value for row in rows for value in row]
+    return ConsistencyReport(struct.pack(f"{len(numbers)}d", *numbers))

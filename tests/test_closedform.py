@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from qsnom.closedform import (
@@ -20,6 +21,7 @@ from qsnom.closedform import (
 from qsnom.errors import (
     DegenerateDenominatorError,
     NotNormalizedError,
+    QsnomError,
     ShiftExceedsGapError,
     ZeroStateError,
 )
@@ -226,6 +228,10 @@ class TestScatteredFrequency:
         with pytest.raises(ShiftExceedsGapError):
             scattered_frequency(1.0, -1.5)
 
+    def test_nan_shift_is_refused(self):
+        with pytest.raises(ValueError, match="^delta_e must not be nan$"):
+            scattered_frequency(1.0, math.nan)
+
 
 class TestPhotonReport:
     def test_fixture(self):
@@ -274,10 +280,45 @@ class TestDifferenceGapUnderflow:
         assert report.amplitude == beta.norm
         assert report.delta_e == 0.0
 
-    def test_nonzero_mixed_amplitude_still_fails(self):
+    def test_nonzero_mixed_amplitude_is_a_degenerate_denominator(self):
         a = InitialCoefficients(0.6, 0.8, 0.0, 0.0)
-        with pytest.raises(ZeroDivisionError):
-            beta_coefficients(a, **self.POINT, kappa=5e-324)
+        for fn in (beta_coefficients, photon_report):
+            with pytest.raises(DegenerateDenominatorError, match="^difference gap omega"):
+                fn(a, **self.POINT, kappa=5e-324)
+
+
+class TestPastTheFloatRange:
+    """A shift or correction that leaves the float range is an error,
+    never an infinite number returned."""
+
+    POINT = dict(height_nm=0.5, alpha=0.9, omega=1e-315, kappa=1e-150)
+
+    def test_beta_coefficients_names_the_coefficient(self):
+        with pytest.raises(OverflowError, match="^corrected coefficient beta1 overflows: -inf$"):
+            beta_coefficients(InitialCoefficients.ground_state(), **self.POINT)
+
+    def test_photon_report_fails_on_the_gap_first(self):
+        with pytest.raises(ShiftExceedsGapError):
+            photon_report(InitialCoefficients.ground_state(), **self.POINT)
+
+    def test_energy_shift_past_the_float_range_is_past_the_gap(self):
+        with pytest.raises(ShiftExceedsGapError) as info:
+            energy_shift(1.0, height_nm=1.0, alpha=0.5, omega=5e-324, kappa=1.0)
+        with pytest.raises(ShiftExceedsGapError) as composed:
+            scattered_frequency(5e-324, -math.inf)
+        assert str(info.value) == str(composed.value)
+
+    @pytest.mark.parametrize(
+        "alpha, kappa, amplitude",
+        [(1e-200, 0.3, "5.624999999999999e+197"), (0.5, 1e-100, "inf")],
+    )
+    def test_photon_report_mixed_correction_past_the_float_range(self, alpha, kappa, amplitude):
+        # a1 = 0 gives no shift, so the gap check passes
+        with pytest.raises(OverflowError) as info:
+            photon_report(InitialCoefficients(0.0, 1.0, 0.0, 0.0), 1.0, alpha, 1e-300, kappa)
+        assert str(info.value) == (
+            f"probability weight overflows: inf (amplitude {amplitude})"
+        )
 
 
 class TestNonFiniteInputs:
@@ -363,3 +404,83 @@ class TestNormWithoutNumpy:
         square = sum(Fraction(b) ** 2 for b in beta.as_array().tolist())
         norm, ulp = Fraction(beta.norm), Fraction(math.ulp(beta.norm))
         assert (norm - ulp) ** 2 <= square <= (norm + ulp) ** 2
+
+
+CONTRACT_EXTREMES = (
+    0.0, -1.0, 5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-200, 1e-150,
+    0.9, 1.0 - 2.0**-53, 1.0, 1e300, 1e308, math.inf, -math.inf, math.nan,
+)
+CONTRACT_COEFFICIENTS = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.6, 0.8, 0.0, 0.0), (0.0, 0.0, 0.6, -0.8),
+                     (0.5, 0.5, 0.5, 0.5), (0.0, 1.0, 0.0, 0.0)]),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda raw: math.hypot(*raw) > 1e-3)
+    .map(lambda raw: tuple(x / math.hypot(*raw) for x in raw)),
+)
+
+
+class TestContract:
+    """``energy_shift``, ``scattered_frequency``, ``beta_coefficients``
+    and ``photon_report`` return finite numbers or raise a
+    ``ValueError``, a ``QsnomError`` or an ``ArithmeticError`` other than
+    ``ZeroDivisionError``, with warnings as errors.
+
+    One ``ZeroDivisionError`` is still allowed, as a known defect: where
+    the shift's denominator (2R)^3 omega (1 + alpha^2) rounds to 0. The
+    CLI pins it (``simulate --set R_nm=1e-300``); any other is a failure.
+    """
+
+    @settings(max_examples=500, deadline=None)
+    # the difference gap rounds to 0 under a nonzero mixed amplitude
+    @example(
+        coefficients=(0.6, 0.8, 0.0, 0.0),
+        plain=dict(height_nm=1.0, alpha=0.9, omega=5e-324, kappa=5e-324, delta_e=-0.1),
+        extreme={},
+    )
+    # beta1 overflows to -inf where photon_report fails its gap check first
+    @example(
+        coefficients=(1.0, 0.0, 0.0, 0.0),
+        plain=dict(height_nm=0.5, alpha=0.9, omega=1e-315, kappa=1e-150, delta_e=-0.1),
+        extreme={},
+    )
+    @given(
+        coefficients=CONTRACT_COEFFICIENTS,
+        plain=st.fixed_dictionaries(
+            {
+                "height_nm": st.floats(0.05, 10.0),
+                "alpha": st.floats(0.0, 0.999),
+                "omega": st.floats(1e-3, 10.0),
+                "kappa": st.floats(1e-4, 10.0),
+                "delta_e": st.floats(-10.0, 0.0),
+            }
+        ),
+        extreme=st.dictionaries(
+            st.sampled_from(("height_nm", "alpha", "omega", "kappa", "delta_e")),
+            st.sampled_from(CONTRACT_EXTREMES),
+            max_size=3,
+        ),
+    )
+    def test_finite_numbers_or_a_classed_error(self, coefficients, plain, extreme):
+        a = InitialCoefficients(*coefficients)
+        v = dict(plain, **extreme)
+        point = (v["height_nm"], v["alpha"], v["omega"], v["kappa"])
+        calls = {
+            "energy_shift": lambda: (energy_shift(a.a1, *point),),
+            "scattered_frequency": lambda: (scattered_frequency(v["omega"], v["delta_e"]),),
+            "beta_coefficients": lambda: dataclasses.astuple(beta_coefficients(a, *point)),
+            "photon_report": lambda: dataclasses.astuple(photon_report(a, *point)),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    numbers = call()
+                except (ValueError, ArithmeticError, QsnomError) as exc:
+                    event(f"{name}: {type(exc).__name__}")
+                    if isinstance(exc, ZeroDivisionError):
+                        height_nm, alpha, omega, _ = point
+                        denominator = (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
+                        assert denominator == 0.0, (name, exc)
+                    continue
+            event(f"{name}: answer")
+            assert all(math.isfinite(x) for x in numbers), (name, numbers)

@@ -1,5 +1,6 @@
 import gc
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -14,7 +15,12 @@ from qsnom.closedform import energy_shift
 from qsnom.crosscheck import ConsistencyReport, ConsistencyRow, consistency_report
 from qsnom.dipole import DielectricSample, TipDipole
 from qsnom.errors import QsnomError
-from qsnom.hamiltonian import N_MAX_LIMIT, ModelConfig, build_hamiltonian_pair
+from qsnom.hamiltonian import (
+    N_MAX_LIMIT,
+    ModelConfig,
+    build_hamiltonian_pair,
+    regime_warnings,
+)
 from qsnom.perturbation import rs_pt2
 
 HEIGHTS = (0.5, 1.0, 2.0, 4.0)
@@ -183,13 +189,25 @@ class TestFootprint:
         assert per_report < 448
 
     def test_packed_rows_read_back_bit_for_bit(self):
-        numbers = [-0.0, math.inf, math.nan, 5e-324, 1.0 / 3.0, -1e300, 0.5, 2.0, 7.0]
-        rows = [
-            ConsistencyRow(*numbers, ("w",)),
-            ConsistencyRow(*reversed(numbers), ()),
+        head = [-3.0, math.nan, -0.0, 1.0, 0.25]
+        special = [-0.0, math.inf, math.nan, 5e-324, -1e300, 1.0 / 3.0]
+        # alpha and g (the second and third numbers) set the warnings:
+        # one row is inside the perturbative regime and one is not
+        rows = [[0.5, 0.5, 1e-3, *special], [2.0, 0.9, 1.0, *reversed(special)]]
+        numbers = head + [value for row in rows for value in row]
+        report = ConsistencyReport(struct.pack(f"{len(numbers)}d", *numbers))
+        read = [report.closed_height_exponent, report.oracle_height_exponent,
+                report.exact_height_exponent, float(report.scaling_mismatch)]
+        read += [getattr(row, name) for row in report.rows
+                 for name in qsnom.crosscheck._ROW_NUMBERS]
+        assert struct.pack(f"{len(read)}d", *read) == struct.pack(
+            f"{len(numbers) - 1}d", *(head[:4] + numbers[5:])
+        )
+        row_warnings = [row.warnings for row in report.rows]
+        assert row_warnings == [
+            regime_warnings(0.25, alpha * alpha * 0.25, g) for _, alpha, g, *_ in rows
         ]
-        report = ConsistencyReport(rows, -3.0, -6.0, -6.0, True)
-        assert repr(report.rows) == repr(tuple(rows))
+        assert row_warnings[0] == () and row_warnings[1] != ()
 
     def test_derived_fields_follow_the_stored_ones(self, report):
         for row in report.rows:

@@ -183,7 +183,7 @@ def _difffuzz(old, new, draws):
 def test_difffuzz_finds_no_difference_on_one_tree():
     proc = _difffuzz(ROOT, ROOT, 40)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "0 of 320 outcomes changed over 40 draws (seed 1)\n"
+    assert proc.stdout == "0 of 360 outcomes changed over 40 draws (seed 1)\n"
 
 
 def test_difffuzz_reports_a_changed_tree(tmp_path):

@@ -6,12 +6,12 @@ Run from anywhere:
 
 Each tree runs the draws in its own subprocess, with its ``src/`` first
 on ``PYTHONPATH``. A draw calls ``forward`` and ``invert_permittivity``
-on both routes, ``consistency_report`` and ``photon_report``. Each
-inversion runs twice, so the second call meets the band the first one
-left in the band cache. Each
-parameter is drawn log-uniformly from a physical range or, one time in
-five, from a list of extreme values (zero, negatives, subnormals, huge
-values, inf and nan). A call's outcome is its returned value, read
+on both routes, ``consistency_report``, and ``photon_report`` and
+``beta_coefficients`` on the same arguments. Each inversion runs twice,
+so the second call meets the band the first one left in the band
+cache. Each parameter is drawn log-uniformly from a physical range or,
+one time in five, from a list of extreme values (zero, negatives,
+subnormals, huge values, inf and nan). A call's outcome is its returned value, read
 through its public fields and properties with floats as hex, or its
 error class and message, plus any warning it emitted. Every outcome
 that differs between the trees is printed, then a count of the class
@@ -143,6 +143,8 @@ def _run(draws: int, seed: int) -> None:
         a = (1.0, 0.0, 0.0, 0.0) if d["ground"] else tuple(d["coefficients"])
         args = (a, d["height_nm"], d["alpha"], d["omega"], d["kappa"])
         calls.append(("photon_report", args, lambda: qsnom.photon_report(
+            closedform.InitialCoefficients(*a), *args[1:])))
+        calls.append(("beta_coefficients", args, lambda: closedform.beta_coefficients(
             closedform.InitialCoefficients(*a), *args[1:])))
         for name, args, call in calls:
             label, encoded = _outcome(call)
