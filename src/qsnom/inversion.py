@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,51 +104,98 @@ class ForwardResult:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+_DEFAULT_BRACKET = (1.0 + 1e-9, 1e6)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class InversionProblem:
-    """Measured frequency plus the fixed geometry to invert under."""
+    """Measured frequency plus the fixed geometry to invert under.
+
+    A scan builds one per pixel, so ``__init__`` is written out: it checks
+    the fields in one pass, in the order below, and stores each through
+    its slot's own setter instead of the ``object.__setattr__`` call per
+    field of a generated frozen ``__init__``. ``dataclasses.replace``
+    calls it too, so a replaced field is checked again.
+    """
 
     observed_omega_s: float
     height_nm: float
     omega: float
     kappa: float
-    bracket: tuple[float, float] = (1.0 + 1e-9, 1e6)
+    bracket: tuple[float, float] = _DEFAULT_BRACKET
     tol_rel: float = 1e-10
     max_iter: int = 200
     method: str = "closed"
 
-    def __post_init__(self) -> None:
-        # one pass over the fields in the order below; _positive_finite runs
-        # only on a value that fails, to word its error
-        lo, hi = self.bracket
+    def __init__(
+        self,
+        observed_omega_s: float,
+        height_nm: float,
+        omega: float,
+        kappa: float,
+        bracket: tuple[float, float] = _DEFAULT_BRACKET,
+        tol_rel: float = 1e-10,
+        max_iter: int = 200,
+        method: str = "closed",
+    ) -> None:
+        # _positive_finite runs only on a value that fails, to word its error
+        lo, hi = bracket
         if not (lo > 1.0 and hi > lo):
             raise ValueError(
                 f"bracket must satisfy 1 < lo < hi, got ({lo!r}, {hi!r})"
             )
         if hi == math.inf:
             raise ValueError(f"bracket must be finite, got ({lo!r}, {hi!r})")
-        tol_rel = self.tol_rel
         if not tol_rel > 0 or tol_rel == math.inf:
             _positive_finite(tol_rel=tol_rel)
-        n = self.max_iter
-        if type(n) is not int or n < 1:
-            if not (n >= 1 and n != math.inf and int(n) == n):
-                raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, "max_iter", int(n))
-        if self.method != "closed" and self.method != "oracle":
-            raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
-        observed = self.observed_omega_s
-        if not observed > 0 or observed == math.inf:
-            _positive_finite(observed_omega_s=observed)
+        if type(max_iter) is not int or max_iter < 1:
+            if not (max_iter >= 1 and max_iter != math.inf and int(max_iter) == max_iter):
+                raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+            max_iter = int(max_iter)
+        if method != "closed" and method != "oracle":
+            raise ValueError(f"method must be 'closed' or 'oracle', got {method!r}")
+        if not observed_omega_s > 0 or observed_omega_s == math.inf:
+            _positive_finite(observed_omega_s=observed_omega_s)
+        (set_observed, set_height, set_omega, set_kappa,
+         set_bracket, set_tol_rel, set_max_iter, set_method) = _PROBLEM_SETTERS
+        set_observed(self, observed_omega_s)
+        set_height(self, height_nm)
+        set_omega(self, omega)
+        set_kappa(self, kappa)
+        set_bracket(self, bracket)
+        set_tol_rel(self, tol_rel)
+        set_max_iter(self, max_iter)
+        set_method(self, method)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InversionResult:
     """Recovered permittivity with the search diagnostics."""
 
     epsilon_d: float
     iterations: int
     residual: float
+
+    def __init__(self, epsilon_d: float, iterations: int, residual: float) -> None:
+        # stored as InversionProblem stores its fields
+        set_epsilon_d, set_iterations, set_residual = _RESULT_SETTERS
+        set_epsilon_d(self, epsilon_d)
+        set_iterations(self, iterations)
+        set_residual(self, residual)
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    A frozen class refuses plain assignment; the descriptor's setter
+    stores the value directly, as ``object.__setattr__`` would after
+    looking the descriptor up by name.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_PROBLEM_SETTERS = _slot_setters(InversionProblem)
+_RESULT_SETTERS = _slot_setters(InversionResult)
 
 
 def _oracle_pt2(
@@ -219,12 +266,13 @@ def forward(
 
 
 def _band_edge(
-    problem: InversionProblem, top: float, bottom: float
+    problem: InversionProblem, top: float, bottom: float, band: str
 ) -> InversionResult | None:
     """Settle a measurement on or outside the band ``[bottom, top]``.
 
     A measurement within tolerance of a band edge returns that edge's
-    bracket end; one further out raises :class:`OutOfBracketError`.
+    bracket end; one further out raises :class:`OutOfBracketError`, whose
+    message ends in ``band``, the band's wording from :func:`_band`.
     Returns ``None`` for a measurement strictly inside the band.
     """
     lo, hi = problem.bracket
@@ -234,19 +282,13 @@ def _band_edge(
     if observed > top:
         if observed - top < tol_abs:
             return InversionResult(epsilon_d=lo, iterations=0, residual=observed - top)
-        raise OutOfBracketError(
-            f"observed omega_s {observed!r} above attainable band"
-            f" [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
-        )
+        raise OutOfBracketError(f"observed omega_s {observed!r} above{band}")
     if observed < bottom:
         if bottom - observed < tol_abs:
             return InversionResult(
                 epsilon_d=hi, iterations=0, residual=bottom - observed
             )
-        raise OutOfBracketError(
-            f"observed omega_s {observed!r} below attainable band"
-            f" [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
-        )
+        raise OutOfBracketError(f"observed omega_s {observed!r} below{band}")
     # tol_abs underflows to 0 at a tiny omega or tol_rel, and an exact hit
     # on an edge still returns it
     if observed == top:
@@ -274,12 +316,14 @@ def _oracle_shift(
 @functools.lru_cache(maxsize=64, typed=True)
 def _band(
     lo: float, hi: float, height_nm: float, omega: float, kappa: float, method: str
-) -> tuple[float, float, float, float]:
-    """``(delta_lo, delta_hi, top, bottom)``: the route's shift at each
-    bracket end and the attainable band, from a checked geometry.
+) -> tuple[float, float, float, float, str]:
+    """``(delta_lo, delta_hi, top, bottom, band)``: the route's shift at
+    each bracket end, the attainable band and its wording in an
+    :class:`OutOfBracketError`, from a checked geometry.
 
     Every pixel of a scan at one geometry shares its band, so it is kept
-    for the last 64 geometries and routes. A raised error is not kept.
+    for the last 64 geometries and routes; an out-of-band pixel formats
+    only its own measurement. A raised error is not kept.
     """
     shift = _closed_shift if method == "closed" else _oracle_shift
     delta_lo = shift(_epsilon(lo), height_nm, omega, kappa)
@@ -288,7 +332,8 @@ def _band(
     # where the shift reaches the gap inside the bracket the band ends at
     # zero frequency, not at the bracket top
     bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
-    return delta_lo, delta_hi, top, bottom
+    band = f" attainable band [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
+    return delta_lo, delta_hi, top, bottom, band
 
 
 def invert_permittivity(problem: InversionProblem) -> InversionResult:
@@ -309,8 +354,9 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     ``tol_rel * omega`` or the search ran out of its budget.
 
     The band is computed once per geometry and route and kept in a
-    64-entry cache, so later pixels of a scan at one geometry skip its
-    two shifts. The search computes each other point's shift once.
+    64-entry cache with its wording in an :class:`OutOfBracketError`, so
+    later pixels of a scan at one geometry skip its two shifts and its
+    formatting. The search computes each other point's shift once.
     """
     lo, hi = problem.bracket
     height, omega, kappa = problem.height_nm, problem.omega, problem.kappa
@@ -319,15 +365,15 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     # keep their class
     _positive_finite(omega=omega, height_nm=height, kappa=kappa)
     try:
-        delta_lo, delta_hi, top, bottom = _band(lo, hi, height, omega, kappa, method)
+        delta_lo, delta_hi, top, bottom, band = _band(lo, hi, height, omega, kappa, method)
     except TypeError:
         # an unhashable input (a 0-d array, say) has no cache entry
-        delta_lo, delta_hi, top, bottom = _band.__wrapped__(
+        delta_lo, delta_hi, top, bottom, band = _band.__wrapped__(
             lo, hi, height, omega, kappa, method
         )
     observed = problem.observed_omega_s
     if not bottom < observed < top:
-        return _band_edge(problem, top, bottom)
+        return _band_edge(problem, top, bottom, band)
 
     if method == "closed":
         # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -1016,6 +1019,28 @@ def composed_oracle_forward(epsilon_d, height_nm, omega, kappa, near_field_facto
     )
 
 
+def spelled_band_edge(problem, top, bottom):
+    """The band-edge rule spelled out, its error wording included, so that
+    the wording the band cache keeps is checked against this one."""
+    lo, hi = problem.bracket
+    observed = problem.observed_omega_s
+    tol_abs = problem.tol_rel * problem.omega
+    band = f"attainable band [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
+    if observed > top:
+        if observed - top < tol_abs:
+            return inversion.InversionResult(lo, 0, observed - top)
+        raise OutOfBracketError(f"observed omega_s {observed!r} above {band}")
+    if observed < bottom:
+        if bottom - observed < tol_abs:
+            return inversion.InversionResult(hi, 0, bottom - observed)
+        raise OutOfBracketError(f"observed omega_s {observed!r} below {band}")
+    if observed == top:
+        return inversion.InversionResult(lo, 0, 0.0)
+    if observed == bottom:
+        return inversion.InversionResult(hi, 0, 0.0)
+    return None
+
+
 def composed_inverse(problem):
     """The closed inverse spelled with the public pieces, its check included."""
     lo, hi = problem.bracket
@@ -1033,7 +1058,7 @@ def composed_inverse(problem):
         bottom = 0.0
     else:
         bottom = closedform.scattered_frequency(omega, delta_hi)
-    edge = inversion._band_edge(problem, top, bottom)
+    edge = spelled_band_edge(problem, top, bottom)
     if edge is not None:
         return edge
     observed = problem.observed_omega_s
@@ -1176,7 +1201,7 @@ def uncached_oracle_inverse(problem, shift):
     top = closedform._emitted(omega, shift(lo, height, omega, kappa))
     delta_hi = shift(hi, height, omega, kappa)
     bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
-    edge = inversion._band_edge(problem, top, bottom)
+    edge = spelled_band_edge(problem, top, bottom)
     if edge is not None:
         return edge
     observed = problem.observed_omega_s
@@ -1392,3 +1417,160 @@ class TestInversionContract:
         assert math.isfinite(result.epsilon_d)
         assert math.isfinite(result.residual)
         assert type(result.iterations) is int and result.iterations >= 0
+
+
+# The band at R = 1 nm, omega = kappa = 1, by route and bracket, as an
+# OutOfBracketError words it
+BAND_WORDING = {
+    ("closed", (1.0 + 1e-9, 1e6)): "[0.937500125, 1.0] on bracket (1, 1e+06)",
+    ("closed", (2.0, 50.0)): "[0.9399990003998401, 0.9875] on bracket (2, 50)",
+    ("oracle", (1.0 + 1e-9, 1e6)): "[0.992187515625, 1.0] on bracket (1, 1e+06)",
+    ("oracle", (2.0, 50.0)): "[0.99249987504998, 0.9984375] on bracket (2, 50)",
+}
+OUT_OF_BAND = [(1.02, "above"), (0.5, "below")]
+
+
+@pytest.mark.usefixtures("cold_band")
+class TestOutOfBandWording:
+    """The band's wording, kept with the band, reads as it did when each
+    out-of-band pixel formatted the whole message."""
+
+    @pytest.mark.parametrize("observed, side", OUT_OF_BAND)
+    @pytest.mark.parametrize("bracket", [(1.0 + 1e-9, 1e6), (2.0, 50.0)])
+    @pytest.mark.parametrize("one", [1, 1.0], ids=["int", "float"])
+    @pytest.mark.parametrize("band", ["cold", "warm"])
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_message(self, method, band, one, bracket, observed, side):
+        problem = InversionProblem(observed, one, one, one, bracket=bracket, method=method)
+        if band == "warm":
+            # another pixel, on the other side, leaves the band in the cache
+            other = 0.5 if side == "above" else 1.02
+            outcome(lambda: invert_permittivity(dataclasses.replace(problem, observed_omega_s=other)))
+        with pytest.raises(OutOfBracketError) as caught:
+            invert_permittivity(problem)
+        assert str(caught.value) == (
+            f"observed omega_s {observed!r} {side} attainable band"
+            f" {BAND_WORDING[method, bracket]}"
+        )
+        info = inversion._band.cache_info()
+        assert (info.hits, info.currsize) == ((1 if band == "warm" else 0), 1)
+
+    @pytest.mark.parametrize("observed, side", OUT_OF_BAND)
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_message_without_a_cache_entry(self, method, observed, side):
+        # a 0-d array height keys no entry; on the closed route the edges
+        # come out as numpy floats, and the message shows them as such
+        problem = InversionProblem(observed, np.array(1.0), 1.0, 1.0, method=method)
+        number = np.float64 if method == "closed" else float
+        bottom, top = {"closed": (0.937500125, 1.0), "oracle": (0.992187515625, 1.0)}[method]
+        for _ in range(2):
+            with pytest.raises(OutOfBracketError) as caught:
+                invert_permittivity(problem)
+            assert str(caught.value) == (
+                f"observed omega_s {observed!r} {side} attainable band"
+                f" [{number(bottom)!r}, {number(top)!r}] on bracket (1, 1e+06)"
+            )
+        assert inversion._band.cache_info().currsize == 0
+
+
+class TestValueObjects:
+    """``InversionProblem`` and ``InversionResult`` write out their
+    ``__init__``; they stay frozen, slotted dataclasses with the fields,
+    defaults, checks, comparisons and copies a generated one gives."""
+
+    PROBLEM_FIELDS = [
+        ("observed_omega_s", dataclasses.MISSING),
+        ("height_nm", dataclasses.MISSING),
+        ("omega", dataclasses.MISSING),
+        ("kappa", dataclasses.MISSING),
+        ("bracket", (1.0 + 1e-9, 1e6)),
+        ("tol_rel", 1e-10),
+        ("max_iter", 200),
+        ("method", "closed"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, expected",
+        [
+            (InversionProblem, PROBLEM_FIELDS),
+            (
+                inversion.InversionResult,
+                [(name, dataclasses.MISSING) for name in ("epsilon_d", "iterations", "residual")],
+            ),
+        ],
+    )
+    def test_fields_signature_and_slots(self, cls, expected):
+        assert [(f.name, f.default) for f in dataclasses.fields(cls)] == expected
+        unset = {dataclasses.MISSING: inspect.Parameter.empty}
+        assert [
+            (p.name, p.default) for p in inspect.signature(cls).parameters.values()
+        ] == [(name, unset.get(default, default)) for name, default in expected]
+        assert cls.__match_args__ == tuple(name for name, _ in expected)
+        assert cls.__slots__ == tuple(name for name, _ in expected)
+
+    def test_problem_is_frozen(self):
+        problem = InversionProblem(0.9, 1.0, 1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.tol_rel = 1e-3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del problem.kappa
+        # a name that is no field: a slotted frozen dataclass's generated
+        # __setattr__ raises TypeError here on Python 3.10 and 3.11, as
+        # ForwardResult's does; it never stores the value
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            problem.extra = 1
+        assert not hasattr(problem, "extra")
+        assert problem.tol_rel == 1e-10 and problem.kappa == 1.0
+
+    def test_replace_checks_again(self):
+        problem = InversionProblem(0.9, 1.0, 1.0, 1.0)
+        replaced = dataclasses.replace(problem, max_iter=3.0, method="oracle")
+        assert replaced == InversionProblem(0.9, 1.0, 1.0, 1.0, max_iter=3, method="oracle")
+        assert type(replaced.max_iter) is int
+        for changes, message in [
+            ({"bracket": (0.5, 10.0)}, "bracket must satisfy 1 < lo < hi, got (0.5, 10.0)"),
+            ({"tol_rel": 0.0}, "tol_rel must be positive, got 0.0"),
+            ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
+            ({"method": "numeric"}, "method must be 'closed' or 'oracle', got 'numeric'"),
+            ({"observed_omega_s": math.inf}, "observed_omega_s must be finite, got inf"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                dataclasses.replace(problem, **changes)
+            assert str(caught.value) == message
+
+    def test_eq_hash_and_repr(self):
+        problem = InversionProblem(0.9, 1.0, 1.0, 1.0, method="oracle")
+        same = InversionProblem(
+            observed_omega_s=0.9, height_nm=1.0, omega=1.0, kappa=1.0, method="oracle"
+        )
+        assert problem == same and hash(problem) == hash(same)
+        assert hash(problem) == hash((0.9, 1.0, 1.0, 1.0, (1.0 + 1e-9, 1e6), 1e-10, 200, "oracle"))
+        assert problem != InversionProblem(0.9, 1.0, 1.0, 1.0)
+        assert repr(problem) == (
+            "InversionProblem(observed_omega_s=0.9, height_nm=1.0, omega=1.0,"
+            " kappa=1.0, bracket=(1.000000001, 1000000.0), tol_rel=1e-10,"
+            " max_iter=200, method='oracle')"
+        )
+        result = inversion.InversionResult(3.0, 0, 0.0)
+        assert result == inversion.InversionResult(epsilon_d=3.0, iterations=0, residual=0.0)
+        assert hash(result) == hash((3.0, 0, 0.0))
+        assert repr(result) == "InversionResult(epsilon_d=3.0, iterations=0, residual=0.0)"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            InversionProblem(0.9, 1.0, 1.0, 1.0, bracket=(2.0, 50.0), max_iter=7.0, method="oracle"),
+            inversion.InversionResult(3.0, 4, 1e-12),
+        ],
+        ids=["problem", "result"],
+    )
+    def test_copy_and_pickle_round_trip(self, value):
+        copies = [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert type(twin) is type(value)
+            assert twin == value and repr(twin) == repr(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, dataclasses.fields(twin)[0].name, 1.0)
