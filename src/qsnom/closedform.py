@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class InitialCoefficients:
 
     def __post_init__(self) -> None:
         sq = self.a1**2 + self.a2**2 + self.a3**2 + self.a4**2
-        if abs(sq - 1.0) > 1e-12:
+        # written so that a nan squared norm fails too
+        if not abs(sq - 1.0) <= 1e-12:
             raise NotNormalizedError(
                 f"initial coefficients have squared norm {sq!r}, expected 1"
             )
@@ -72,12 +74,23 @@ class InitialCoefficients:
 
 @dataclass(frozen=True)
 class BetaCoefficients:
-    """Corrected dipole-pair coefficients, same ordering, subnormalized."""
+    """Corrected dipole-pair coefficients, same ordering, subnormalized.
+
+    Coefficients whose norm overflows, each finite or not, raise
+    ``OverflowError``, so :attr:`norm` is never infinite.
+    """
 
     beta1: float
     beta2: float
     beta3: float
     beta4: float
+
+    def __post_init__(self) -> None:
+        norm = math.hypot(self.beta1, self.beta2, self.beta3, self.beta4)
+        if norm == math.inf:
+            raise OverflowError(
+                f"norm ||beta|| of the corrected coefficients overflows: {norm!r}"
+            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.beta1, self.beta2, self.beta3, self.beta4])
@@ -138,7 +151,8 @@ def beta_coefficients(
         ``omega * (1 - alpha^2)`` rounds to 0, while a mixed amplitude is
         nonzero.
     OverflowError
-        If a corrected coefficient overflows; it names the first one.
+        If a corrected coefficient overflows; it names the first one. If
+        each is finite but their norm overflows, it names the norm.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
     _check_mixed_gap(alpha, omega, a.a2, a.a4)
@@ -181,12 +195,6 @@ def _betas(
     coupling = kappa * alpha
     square = coupling**2
     cube = 2.0 * (2.0 * height_nm) ** 3
-    # a square below the normal range loses digits or vanishes where the
-    # correction need not, so there the division comes first
-    if square >= _SMALLEST_NORMAL:
-        pref = square / cube
-    else:
-        pref = coupling * (coupling / cube)
     # divided by each gap twice: its square can leave the float range
     # where the correction does not
     d_sum = omega * (1.0 + alpha * alpha)
@@ -196,6 +204,21 @@ def _betas(
     # no correction, as dividing by an infinite gap gives
     if d_diff == 0.0:
         d_diff = math.inf
+    try:
+        # a square below the normal range loses digits or vanishes where
+        # the correction need not, so there the division comes first
+        if square >= _SMALLEST_NORMAL:
+            pref = square / cube
+        else:
+            pref = coupling * (coupling / cube)
+    except ZeroDivisionError:
+        # (2R)^3 rounds to 0 where a correction need not; one past the
+        # float range is infinite, and a zero amplitude takes none
+        s = 2.0 * height_nm
+        return tuple(
+            a - _exact_quotient((coupling, coupling, a, a), (2.0, s, s, s, d, d)) if a else a
+            for a, d in ((a1, d_sum), (a2, d_diff), (a3, d_sum), (a4, d_diff))
+        )
     # a prefactor below the normal range has lost digits or vanished where
     # the correction need not, so there each gap divides first. An infinite
     # cube (2R overflows) leaves no correction, as the order below gives
@@ -252,11 +275,15 @@ def energy_shift(
 
     Raises
     ------
+    ValueError
+        If ``a1`` is not finite (nan included).
     ShiftExceedsGapError
         If the shift overflows, as an infinite shift reaches every gap;
         the message is :func:`scattered_frequency`'s for that shift.
     """
     _check_inputs(height_nm, alpha, omega, kappa)
+    if not math.isfinite(a1):
+        raise ValueError(f"a1 must be finite, got {a1!r}")
     shift = _shift(a1, height_nm, alpha, omega, kappa)
     if math.isinf(shift):
         _emitted(omega, shift)  # raises: an infinite shift reaches the gap
@@ -270,12 +297,34 @@ def _shift(
     coupling = kappa * alpha
     square = coupling**2
     denominator = (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
-    # as in _betas, the division comes first where the square is not normal
-    if square >= _SMALLEST_NORMAL:
-        shift = weight * square / denominator
-    else:
-        shift = weight * (coupling * (coupling / denominator))
+    try:
+        # as in _betas, the division comes first where the square is not normal
+        if square >= _SMALLEST_NORMAL:
+            shift = weight * square / denominator
+        else:
+            shift = weight * (coupling * (coupling / denominator))
+    except ZeroDivisionError:
+        # the denominator rounds to 0 where the shift need not: -inf past
+        # the float range, 0 without coupling or amplitude
+        s = 2.0 * height_nm
+        shift = -_exact_quotient(
+            (a1, a1, coupling, coupling), (s, s, s, omega, 1.0 + alpha * alpha)
+        )
     return shift + 0.0  # fold -0.0 to +0.0
+
+
+def _exact_quotient(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
+    """The product of ``numerator`` over that of ``denominator``, rounded
+    once from the exact rational, and infinite past the float range.
+
+    For the rare inputs where a float product rounds to 0 while the
+    quotient need not, such as (2R)^3 for 2R below ~2e-108.
+    """
+    quotient = math.prod(map(Fraction, numerator)) / math.prod(map(Fraction, denominator))
+    try:
+        return float(quotient)
+    except OverflowError:
+        return math.inf if quotient > 0 else -math.inf
 
 
 def scattered_frequency(omega: float, delta_e: float) -> float:

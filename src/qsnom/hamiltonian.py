@@ -86,9 +86,20 @@ def coupling_constant(kappa: float, alpha: float, separation: float) -> float:
     """Dipole-dipole coupling g = kappa * alpha / (2R)^3 in eV.
 
     ``separation`` is the tip-image distance 2R in nm. Its cube raises
-    ``OverflowError`` where it overflows.
+    ``OverflowError`` where it overflows. Where it rounds to 0, g is
+    divided by the separation once per power instead; a g that overflows
+    there raises ``OverflowError`` in :func:`build_delta_h`'s wording, so
+    the coupling fails before the free Hamiltonian is built.
     """
-    return kappa * alpha / separation**3
+    try:
+        return kappa * alpha / separation**3
+    except ZeroDivisionError:
+        # below 1 each division only grows g, so one that overflows means
+        # g does
+        g = kappa * alpha / separation / separation / separation
+    if not math.isfinite(g):
+        raise OverflowError(f"coupling g = kappa*alpha/(2R)^3 is not finite: g={g!r}")
+    return g
 
 
 def build_h0(omega: float, omega_image: float) -> OperatorMatrix:

@@ -239,19 +239,21 @@ def forward(
     separation = 2.0 * height_nm
     omega_image = _image_gap(alpha, omega)
     ratio = _near_field_ratio(separation, omega, omega_image)
-    g = coupling_constant(kappa, alpha, separation)
-    warnings = regime_warnings(omega, omega_image, g)
     if method == "closed":
-        # from the ground state |g, g>
+        # from the ground state |g, g>; before g, so that where (2R)^3
+        # rounds to 0 the shift past the gap names the failure
         amplitude, delta_e, omega_s = closedform._photon(
             1.0, 0.0, 0.0, 0.0, height_nm, alpha, omega, kappa
         )
+        g = coupling_constant(kappa, alpha, separation)
     else:
+        g = coupling_constant(kappa, alpha, separation)
         result = _oracle_pt2(height_nm, alpha, omega, kappa)
         delta_e = result.e2
         omega_s = closedform._emitted(omega, delta_e)
         amplitude = float(np.real(result.normalized_coefficients[0]))
 
+    warnings = regime_warnings(omega, omega_image, g)
     passed = ratio < near_field_factor
     if not passed:
         warnings += (

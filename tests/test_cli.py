@@ -243,7 +243,8 @@ class TestExitCodes:
             # ||beta|| divides by the gap twice instead of by its square,
             # which rounded to 0, so the gap check names the failure
             ("simulate", "omega_eV=1e-300", "ShiftExceedsGapError"),
-            ("simulate", "R_nm=1e-300", "ZeroDivisionError"),
+            # (2R)^3 rounds to 0; the shift past the gap names the failure
+            ("simulate", "R_nm=1e-300", "ShiftExceedsGapError"),
         ],
     )
     def test_float_overflow_is_model_error(
@@ -800,7 +801,8 @@ class TestOracleCheck:
         [
             ("oracle_epsilon_values=1e17,1e18", "UnsupportedPermittivityError: "),
             ("kappa=1e300", "OverflowError: "),
-            ("oracle_heights_nm=1e-300,1", "ZeroDivisionError: "),
+            # (2R)^3 rounds to 0 at the first height, where g overflows
+            ("oracle_heights_nm=1e-300,1", "OverflowError: coupling g = "),
             ("oracle_epsilon_values=-1", "UnsupportedPermittivityError: "),
         ],
     )

@@ -45,6 +45,16 @@ class TestInitialCoefficients:
         a = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
         assert sum(x * x for x in a.as_array()) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(math.nan, 0.0, 0.0, 0.0), (0.6, math.nan, 0.0, 0.8), (1.0, 0.0, math.inf, 0.0)],
+    )
+    def test_rejects_a_non_finite_amplitude(self, coefficients):
+        sq = sum(x * x for x in coefficients)
+        with pytest.raises(NotNormalizedError) as info:
+            InitialCoefficients(*coefficients)
+        assert str(info.value) == f"initial coefficients have squared norm {sq!r}, expected 1"
+
 
 class TestPerturbedCoefficients:
     def test_ground_state_fixture(self):
@@ -181,6 +191,14 @@ class TestEnergyShift:
     )
     def test_never_positive(self, alpha, height, a1):
         assert energy_shift(a1, height_nm=height, alpha=alpha, omega=1.0, kappa=0.05) <= 0.0
+
+    @pytest.mark.parametrize("a1", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.5, 0.0])
+    def test_non_finite_amplitude_is_refused(self, a1, alpha):
+        # at alpha = 0 an infinite a1 times the zero coupling was nan
+        with pytest.raises(ValueError) as info:
+            energy_shift(a1, height_nm=0.5, alpha=alpha, omega=1.0, kappa=1.0)
+        assert str(info.value) == f"a1 must be finite, got {a1!r}"
 
 
     # kappa alpha = 1e-160 or 1e-170: its square is subnormal or zero, while
@@ -321,6 +339,64 @@ class TestPastTheFloatRange:
         )
 
 
+class TestDenominatorUnderflow:
+    """Where (2R)^3 omega (1 + alpha^2), or (2R)^3 alone, rounds to 0, the
+    shift and the corrections come from their exact factors. Past the
+    float range they raise what an overflowing shift or coefficient
+    raises; they are 0 where kappa*alpha or the amplitude is 0, and
+    finite where the true value is."""
+
+    # 2R = 2e-310: its cube rounds to 0
+    TINY = dict(height_nm=1e-310, alpha=0.5, omega=1.0, kappa=1.0)
+
+    @pytest.mark.parametrize(
+        "point",
+        [TINY, dict(height_nm=5e-324, alpha=0.5, omega=1.0, kappa=1.0)],
+    )
+    def test_shift_is_past_the_gap(self, point):
+        with pytest.raises(ShiftExceedsGapError) as info:
+            energy_shift(1.0, **point)
+        assert str(info.value) == "|delta_e| = inf eV reaches the bare gap 1.0 eV"
+        for a in [InitialCoefficients.ground_state(), InitialCoefficients(0.6, 0.8, 0.0, 0.0)]:
+            with pytest.raises(ShiftExceedsGapError) as report:
+                photon_report(a, **point)
+            assert str(report.value) == str(info.value)
+
+    def test_beta_coefficients_names_the_coefficient(self):
+        with pytest.raises(OverflowError) as info:
+            beta_coefficients(InitialCoefficients(0.0, 0.0, 0.6, 0.8), **self.TINY)
+        assert str(info.value) == "corrected coefficient beta3 overflows: -inf"
+
+    @pytest.mark.parametrize("changes", [{"alpha": 0.0}, {"kappa": 0.0}])
+    def test_no_coupling_takes_no_shift(self, changes):
+        point = dict(self.TINY, **changes)
+        shift = energy_shift(1.0, **point)
+        assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
+        a = InitialCoefficients(0.6, 0.0, 0.0, 0.8)
+        assert beta_coefficients(a, **point) == BetaCoefficients(0.6, 0.0, 0.0, 0.8)
+        report = photon_report(a, **point)
+        assert (report.delta_e, report.omega_s, report.amplitude) == (0.0, 1.0, 1.0)
+
+    def test_zero_amplitude_takes_no_shift(self):
+        shift = energy_shift(0.0, **self.TINY)
+        assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
+
+    def test_finite_where_the_true_value_is(self):
+        # (2R)^3 = 8e-330 rounds to 0, but omega = 1e300 brings the
+        # denominator back to 1e-29: the shift is 2.5e28 eV, far below the gap
+        point = dict(height_nm=1e-110, alpha=0.5, omega=1e300, kappa=1.0)
+        separation, coupling = Fraction(2.0 * 1e-110), Fraction(0.5)
+        d_sum = Fraction(1e300) * Fraction(1.25)
+        shift = energy_shift(1.0, **point)
+        assert shift == -float(coupling**2 / (separation**3 * d_sum))
+        assert shift == pytest.approx(-2.5e28, rel=1e-15)
+        # each correction, (kappa alpha a)^2 / (2 (2R)^3 d^2), is ~1e-272
+        a = InitialCoefficients(0.6, 0.8, 0.0, 0.0)
+        assert beta_coefficients(a, **point) == BetaCoefficients(0.6, 0.8, 0.0, 0.0)
+        report = photon_report(a, **point)
+        assert (report.delta_e, report.omega_s) == (0.36 * shift, 1e300)
+
+
 class TestNonFiniteInputs:
     """A non-finite input raises a ValueError that names it."""
 
@@ -360,6 +436,25 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError) as info:
             scattered_frequency(bad, -0.2)
         assert str(info.value) == f"omega must be positive, got {bad!r}"
+
+
+class TestNormPastTheFloatRange:
+    """Four finite coefficients whose norm overflows are refused where
+    they are built, so ``norm``, ``normalized`` and ``scattered_amplitude``
+    never return inf."""
+
+    def test_beta_coefficients(self):
+        # beta is about (-9.2e307, 0, -1.6e308, 0)
+        a = InitialCoefficients(0.6, 0.0, 0.8, 0.0)
+        with pytest.raises(OverflowError) as info:
+            beta_coefficients(a, 1.0, 0.5, 1e-155, 1.6)
+        assert str(info.value) == "norm ||beta|| of the corrected coefficients overflows: inf"
+
+    def test_built_directly(self):
+        with pytest.raises(OverflowError, match=r"^norm \|\|beta\|\| of the corrected"):
+            BetaCoefficients(-1.5e308, 0.0, -1.5e308, 0.0)
+        edge = BetaCoefficients(1e308, 0.0, 0.0, 0.0)
+        assert scattered_amplitude(edge) == edge.norm == 1e308
 
 
 class TestNormWithoutNumpy:
@@ -416,19 +511,18 @@ CONTRACT_COEFFICIENTS = st.one_of(
     st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
     .filter(lambda raw: math.hypot(*raw) > 1e-3)
     .map(lambda raw: tuple(x / math.hypot(*raw) for x in raw)),
+    # a unit set with one amplitude made nan
+    st.tuples(st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.6, 0.0, 0.0, 0.8)]), st.integers(0, 3))
+    .map(lambda drawn: tuple(math.nan if k == drawn[1] else x for k, x in enumerate(drawn[0]))),
 )
 
 
 class TestContract:
-    """``energy_shift``, ``scattered_frequency``, ``beta_coefficients``
-    and ``photon_report`` return finite numbers or raise a
-    ``ValueError``, a ``QsnomError`` or an ``ArithmeticError`` other than
-    ``ZeroDivisionError``, with warnings as errors.
-
-    One ``ZeroDivisionError`` is still allowed, as a known defect: where
-    the shift's denominator (2R)^3 omega (1 + alpha^2) rounds to 0. The
-    CLI pins it (``simulate --set R_nm=1e-300``); any other is a failure.
-    """
+    """``InitialCoefficients``, ``energy_shift``, ``scattered_frequency``,
+    ``beta_coefficients`` (its norm included) and ``photon_report``
+    return finite numbers or raise a ``ValueError``, a ``QsnomError`` or
+    an ``ArithmeticError`` other than ``ZeroDivisionError``, with
+    warnings as errors."""
 
     @settings(max_examples=500, deadline=None)
     # the difference gap rounds to 0 under a nonzero mixed amplitude
@@ -441,6 +535,23 @@ class TestContract:
     @example(
         coefficients=(1.0, 0.0, 0.0, 0.0),
         plain=dict(height_nm=0.5, alpha=0.9, omega=1e-315, kappa=1e-150, delta_e=-0.1),
+        extreme={},
+    )
+    # (2R)^3 omega (1 + alpha^2) rounds to 0
+    @example(
+        coefficients=(1.0, 0.0, 0.0, 0.0),
+        plain=dict(height_nm=1e-310, alpha=0.5, omega=1.0, kappa=1.0, delta_e=-0.1),
+        extreme={},
+    )
+    # four finite coefficients whose norm overflows
+    @example(
+        coefficients=(0.6, 0.0, 0.8, 0.0),
+        plain=dict(height_nm=1.0, alpha=0.5, omega=1e-155, kappa=1.6, delta_e=-0.1),
+        extreme={},
+    )
+    @example(
+        coefficients=(math.nan, 0.0, 0.0, 0.0),
+        plain=dict(height_nm=1.0, alpha=0.5, omega=1.0, kappa=1.0, delta_e=-0.1),
         extreme={},
     )
     @given(
@@ -461,14 +572,21 @@ class TestContract:
         ),
     )
     def test_finite_numbers_or_a_classed_error(self, coefficients, plain, extreme):
-        a = InitialCoefficients(*coefficients)
         v = dict(plain, **extreme)
         point = (v["height_nm"], v["alpha"], v["omega"], v["kappa"])
+
+        def beta():
+            b = beta_coefficients(InitialCoefficients(*coefficients), *point)
+            return dataclasses.astuple(b) + (b.norm, scattered_amplitude(b))
+
         calls = {
-            "energy_shift": lambda: (energy_shift(a.a1, *point),),
+            "InitialCoefficients": lambda: InitialCoefficients(*coefficients).as_array(),
+            "energy_shift": lambda: (energy_shift(coefficients[0], *point),),
             "scattered_frequency": lambda: (scattered_frequency(v["omega"], v["delta_e"]),),
-            "beta_coefficients": lambda: dataclasses.astuple(beta_coefficients(a, *point)),
-            "photon_report": lambda: dataclasses.astuple(photon_report(a, *point)),
+            "beta_coefficients": beta,
+            "photon_report": lambda: dataclasses.astuple(
+                photon_report(InitialCoefficients(*coefficients), *point)
+            ),
         }
         for name, call in calls.items():
             with warnings.catch_warnings():
@@ -477,10 +595,7 @@ class TestContract:
                     numbers = call()
                 except (ValueError, ArithmeticError, QsnomError) as exc:
                     event(f"{name}: {type(exc).__name__}")
-                    if isinstance(exc, ZeroDivisionError):
-                        height_nm, alpha, omega, _ = point
-                        denominator = (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
-                        assert denominator == 0.0, (name, exc)
+                    assert not isinstance(exc, ZeroDivisionError), (name, exc)
                     continue
             event(f"{name}: answer")
             assert all(math.isfinite(x) for x in numbers), (name, numbers)

@@ -50,6 +50,20 @@ class TestCoupling:
         sample, tip, _, cfg = make_parts(1.0)
         assert coupling_constant(cfg.kappa, sample.alpha, tip.separation) == 0.0
 
+    def test_cube_that_rounds_to_zero(self):
+        # (2e-300)^3 rounds to 0: g overflows, with build_delta_h's wording
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                coupling_constant(1.0, 0.5, 2e-300)
+        assert str(info.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
+        # no coupling is g = 0, not an error
+        assert coupling_constant(1.0, 0.0, 2e-300) == 0.0
+        assert coupling_constant(0.0, 0.5, 2e-300) == 0.0
+        # (2e-110)^3 = 8e-330 rounds to 0 too, yet g = 5e-301 / 8e-330 is finite
+        g = coupling_constant(1e-300, 0.5, 2e-110)
+        assert g == pytest.approx(float(Fraction(1e-300 * 0.5) / Fraction(2e-110) ** 3), rel=1e-15)
+
 
 class TestFreeHamiltonian:
     def test_pair_energies_with_image(self):

@@ -136,6 +136,28 @@ class TestForward:
                 forward(3.0, 0.001, 1.0, 1e308, method="oracle")
         assert str(info.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
 
+    def test_cube_that_rounds_to_zero(self):
+        # (2R)^3 rounds to 0: the closed shift is past the gap, and on the
+        # oracle route g overflows; no ZeroDivisionError on either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShiftExceedsGapError):
+                forward(3.0, 1e-300, 1.0, 0.05)
+            with pytest.raises(ShiftExceedsGapError):
+                invert_permittivity(InversionProblem(0.5, 1e-300, 1.0, 0.05))
+            for call in (
+                lambda: forward(3.0, 1e-300, 1.0, 0.05, method="oracle"),
+                lambda: invert_permittivity(
+                    InversionProblem(0.5, 1e-300, 1.0, 0.05, method="oracle")
+                ),
+            ):
+                with pytest.raises(OverflowError, match="^coupling g = "):
+                    call()
+            # with no coupling there is no shift, on both routes
+            for method in ("closed", "oracle"):
+                result = forward(1.0, 1e-300, 1.0, 0.05, method=method)
+                assert (result.g, result.delta_e, result.omega_s) == (0.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_coupling_whose_square_underflows_is_a_shift_past_the_gap(self, method):
         # g = 1e-170 eV squares below the float range, yet g^2 / gap ~ 8e-41
@@ -356,10 +378,10 @@ class TestInversion:
         assert result == inversion.InversionResult(problem.bracket[0], 0, 0.0)
 
     def test_oracle_coupling_fails_before_the_free_hamiltonian(self):
-        # (2R)^3 underflows to 0 while omega + omega_img + omega overflows;
-        # g comes first, as in build_hamiltonian_pair
+        # (2R)^3 underflows to 0, so g overflows, while omega + omega_img +
+        # omega overflows too; g comes first, as in build_hamiltonian_pair
         problem = InversionProblem(0.5, 5e-324, 1e308, 1.0, method="oracle")
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(OverflowError, match=r"^coupling g = kappa\*alpha/\(2R\)\^3 is not"):
             invert_permittivity(problem)
 
     @pytest.mark.parametrize("max_iter", [2**31, 1e300])
@@ -964,8 +986,8 @@ def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
     image = derive_image(tip, sample)
     cfg = ModelConfig(kappa=kappa)
     field = near_field_check(tip, image, near_field_factor)
-    g = hamiltonian.coupling_constant(cfg.kappa, sample.alpha, tip.separation)
-    warns = list(hamiltonian.regime_warnings(tip.omega, image.omega_image, g))
+    # the shift before g, so that where (2R)^3 rounds to 0 the shift past
+    # the gap names the failure
     report = closedform.photon_report(
         closedform.InitialCoefficients.ground_state(),
         height_nm,
@@ -973,6 +995,8 @@ def composed_forward(epsilon_d, height_nm, omega, kappa, near_field_factor=0.1):
         omega,
         kappa,
     )
+    g = hamiltonian.coupling_constant(cfg.kappa, sample.alpha, tip.separation)
+    warns = list(hamiltonian.regime_warnings(tip.omega, image.omega_image, g))
     if not field.passed:
         warns.append(
             f"near-field check failed: separation/wavelength ratio "
