@@ -213,11 +213,15 @@ def _betas(
             pref = coupling * (coupling / cube)
     except ZeroDivisionError:
         # (2R)^3 rounds to 0 where a correction need not; one past the
-        # float range is infinite, and a zero amplitude takes none
+        # float range is infinite, and a zero amplitude takes none. The
+        # gaps go in as factors: omega (1 + alpha^2) can overflow here
         s = 2.0 * height_nm
+        sum_gap = 1.0 + alpha * alpha
         return tuple(
-            a - _exact_quotient((coupling, coupling, a, a), (2.0, s, s, s, d, d)) if a else a
-            for a, d in ((a1, d_sum), (a2, d_diff), (a3, d_sum), (a4, d_diff))
+            a - _exact_quotient((coupling, coupling, a, a), (2.0, s, s, s, omega, omega, gap, gap))
+            if a
+            else a
+            for a, gap in ((a1, sum_gap), (a2, mixed_gap), (a3, sum_gap), (a4, mixed_gap))
         )
     # a prefactor below the normal range has lost digits or vanished where
     # the correction need not, so there each gap divides first. An infinite

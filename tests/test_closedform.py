@@ -396,6 +396,30 @@ class TestDenominatorUnderflow:
         report = photon_report(a, **point)
         assert (report.delta_e, report.omega_s) == (0.36 * shift, 1e300)
 
+    def test_sum_gap_past_the_float_range(self):
+        # 2R = 2^-683 cubes to 0 and omega (1 + alpha^2) ~ 2.2e308
+        # overflows, while each correction (kappa alpha a)^2 /
+        # (2 (2R)^3 omega^2 (1 + alpha^2)^2) is ~0.42 a^2, and the shift,
+        # ~6.7e307 eV, stays below the ~1.3e308 eV gap
+        omega, alpha = 1.5 * 2.0**1023, 0.8
+        point = dict(height_nm=2.0**-684, alpha=alpha, omega=omega, kappa=1.0)
+        a = InitialCoefficients(0.6, 0.0, 0.8, 0.0)
+        beta = beta_coefficients(a, **point)
+        cube = Fraction(2.0**-683) ** 3
+        gap = Fraction(omega) * Fraction(1.0 + alpha * alpha)
+        exact = [
+            x - float((Fraction(alpha) * Fraction(x)) ** 2 / (2 * cube * gap**2))
+            for x in (0.6, 0.8)
+        ]
+        assert (beta.beta1, beta.beta3) == (exact[0], exact[1])
+        assert exact == pytest.approx([0.6 - 0.36 * 0.64 / 1.5129, 0.8 - 0.64 * 0.64 / 1.5129])
+        assert (beta.beta2, beta.beta4) == (0.0, 0.0)
+        report = photon_report(a, **point)
+        assert report.amplitude == beta.norm
+        shift = (Fraction(alpha) * Fraction(0.6)) ** 2 / (cube * gap)
+        assert report.delta_e == -float(shift)
+        assert report.omega_s == omega - float(shift)
+
 
 class TestNonFiniteInputs:
     """A non-finite input raises a ValueError that names it."""
