@@ -104,7 +104,11 @@ class ForwardResult:
     warnings: tuple[str, ...]
 
 
+# InversionProblem's defaults, shared by its fields and its __init__
 _DEFAULT_BRACKET = (1.0 + 1e-9, 1e6)
+_DEFAULT_TOL_REL = 1e-10
+_DEFAULT_MAX_ITER = 200
+_DEFAULT_METHOD = "closed"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -123,9 +127,9 @@ class InversionProblem:
     omega: float
     kappa: float
     bracket: tuple[float, float] = _DEFAULT_BRACKET
-    tol_rel: float = 1e-10
-    max_iter: int = 200
-    method: str = "closed"
+    tol_rel: float = _DEFAULT_TOL_REL
+    max_iter: int = _DEFAULT_MAX_ITER
+    method: str = _DEFAULT_METHOD
 
     def __init__(
         self,
@@ -134,9 +138,9 @@ class InversionProblem:
         omega: float,
         kappa: float,
         bracket: tuple[float, float] = _DEFAULT_BRACKET,
-        tol_rel: float = 1e-10,
-        max_iter: int = 200,
-        method: str = "closed",
+        tol_rel: float = _DEFAULT_TOL_REL,
+        max_iter: int = _DEFAULT_MAX_ITER,
+        method: str = _DEFAULT_METHOD,
     ) -> None:
         # _positive_finite runs only on a value that fails, to word its error
         lo, hi = bracket
@@ -168,7 +172,7 @@ class InversionProblem:
         set_method(self, method)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class InversionResult:
     """Recovered permittivity with the search diagnostics."""
 
@@ -176,26 +180,13 @@ class InversionResult:
     iterations: int
     residual: float
 
-    def __init__(self, epsilon_d: float, iterations: int, residual: float) -> None:
-        # stored as InversionProblem stores its fields
-        set_epsilon_d, set_iterations, set_residual = _RESULT_SETTERS
-        set_epsilon_d(self, epsilon_d)
-        set_iterations(self, iterations)
-        set_residual(self, residual)
 
-
-def _slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order.
-
-    A frozen class refuses plain assignment; the descriptor's setter
-    stores the value directly, as ``object.__setattr__`` would after
-    looking the descriptor up by name.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_PROBLEM_SETTERS = _slot_setters(InversionProblem)
-_RESULT_SETTERS = _slot_setters(InversionResult)
+# the __set__ of each field's slot descriptor, in field order: a frozen
+# class refuses plain assignment, and the descriptor's setter stores the
+# value directly, as object.__setattr__ would after looking it up by name
+_PROBLEM_SETTERS = tuple(
+    getattr(InversionProblem, f.name).__set__ for f in fields(InversionProblem)
+)
 
 
 def _oracle_pt2(
@@ -381,7 +372,13 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
         # where c cannot
         s = omega - observed
-        c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+        try:
+            c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+        except ZeroDivisionError:
+            # (2R)^3 omega rounds to 0 where c need not; as in the band's
+            # shift, c comes from its exact factors there
+            d = 2.0 * height
+            c = closedform._exact_quotient((kappa, kappa), (d, d, d, omega))
         a = math.sqrt(s / (c - s))
         # a rounds to 1 only for a bracket top next to the metallic limit
         epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)

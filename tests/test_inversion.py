@@ -3,7 +3,9 @@ import dataclasses
 import inspect
 import math
 import pickle
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +159,18 @@ class TestForward:
             for method in ("closed", "oracle"):
                 result = forward(1.0, 1e-300, 1.0, 0.05, method=method)
                 assert (result.g, result.delta_e, result.omega_s) == (0.0, 0.0, 1.0)
+
+    def test_coupling_that_overflows_where_the_cube_rounds_to_zero(self):
+        # (2R)^3 rounds to 0 at R = 1e-110 nm, and omega brings the shift
+        # back to ~2.5e28 eV, far below the gap; g ~6e328 eV overflows,
+        # and the closed route refuses it as the oracle route does. At
+        # R = 1e-105 nm the cube does not round to 0 and g = inf comes
+        # back silently (ROADMAP defect 5, whose mend refuses it there too)
+        for method in ("closed", "oracle"):
+            with pytest.raises(OverflowError) as caught:
+                forward(3.0, 1e-110, 1e300, 1.0, method=method)
+            assert str(caught.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
+        assert closedform.energy_shift(1.0, 1e-110, 0.5, 1e300, 1.0) < 1e29
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_coupling_whose_square_underflows_is_a_shift_past_the_gap(self, method):
@@ -376,6 +390,19 @@ class TestInversion:
         assert problem.tol_rel * problem.omega == 0.0
         result = invert_permittivity(problem)
         assert result == inversion.InversionResult(problem.bracket[0], 0, 0.0)
+
+    @pytest.mark.parametrize("epsilon_d", [1.5, 3.0, 100.0, 1e5])
+    def test_closed_round_trip_where_the_cube_rounds_to_zero(self, epsilon_d):
+        # (2R)^3 omega rounds to 0 at R = 1e-110 nm, yet kappa = 1e-165
+        # brings c = kappa^2 / ((2R)^3 omega) back to 0.125: the band is
+        # finite and a measurement in it inverts, with no ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            observed = forward(epsilon_d, 1e-110, 1.0, 1e-165).omega_s
+            assert 0.9375 < observed < 1.0
+            result = invert_permittivity(InversionProblem(observed, 1e-110, 1.0, 1e-165))
+        assert result.iterations == 0
+        assert result.epsilon_d == pytest.approx(epsilon_d, rel=1e-9)
 
     def test_oracle_coupling_fails_before_the_free_hamiltonian(self):
         # (2R)^3 underflows to 0, so g overflows, while omega + omega_img +
@@ -1091,7 +1118,13 @@ def composed_inverse(problem):
         return edge
     observed = problem.observed_omega_s
     shift = omega - observed
-    c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+    try:
+        c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
+    except ZeroDivisionError:
+        # (2R)^3 omega rounds to 0: c = kappa^2 / ((2R)^3 omega), rounded
+        # once from the exact rational
+        exact = Fraction(kappa) ** 2 / (Fraction(2.0 * height) ** 3 * Fraction(omega))
+        c = float(exact) if exact <= Fraction(sys.float_info.max) else math.inf
     a = math.sqrt(shift / (c - shift))
     epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
     omega_s = closedform.scattered_frequency(omega, delta_e(epsilon_d))
@@ -1177,6 +1210,8 @@ class TestClosedRouteParity:
     # kappa*alpha rounds to 0 at the bracket's low end, and the shift at
     # its top is infinite: the band runs from zero frequency to omega
     @example(observed=5e-324, height_nm=5e-324, omega=5e-324, kappa=5e-324, hi=1e6)
+    # (2R)^3 omega rounds to 0, yet c = 0.125 and the band is finite
+    @example(observed=0.975, height_nm=1e-110, omega=1.0, kappa=1e-165, hi=1e6)
     @given(
         observed=extreme_or(st.floats(1e-3, 2.0)),
         height_nm=extreme_or(st.floats(0.05, 10.0)),
@@ -1424,7 +1459,8 @@ CONTRACT_ERRORS = (ValueError, ArithmeticError, QsnomError)
 class TestInversionContract:
     """``InversionProblem`` with ``invert_permittivity``, on both routes,
     returns finite numbers or raises a ``ValueError``, an
-    ``ArithmeticError`` or a ``QsnomError``, with warnings as errors."""
+    ``ArithmeticError`` other than ``ZeroDivisionError`` or a
+    ``QsnomError``, with warnings as errors."""
 
     @settings(max_examples=500, deadline=None)
     @example(
@@ -1442,6 +1478,8 @@ class TestInversionContract:
             try:
                 result = invert_permittivity(drawn_problem(plain, extreme, method))
             except CONTRACT_ERRORS as exc:
+                # a bare division by zero names no quantity
+                assert not isinstance(exc, ZeroDivisionError), exc
                 event(type(exc).__name__)
                 return
         event("answer")
@@ -1506,8 +1544,8 @@ class TestOutOfBandWording:
 
 
 class TestValueObjects:
-    """``InversionProblem`` and ``InversionResult`` write out their
-    ``__init__``; they stay frozen, slotted dataclasses with the fields,
+    """``InversionProblem`` writes out its ``__init__``; it and
+    ``InversionResult`` stay frozen, slotted dataclasses with the fields,
     defaults, checks, comparisons and copies a generated one gives."""
 
     PROBLEM_FIELDS = [
