@@ -12,13 +12,11 @@ the two disagree, and the disagreement is reported rather than patched.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .dipole import _positive_finite
+from .dipole import _operands, _positive_finite, _rounded
 from .errors import (
     DegenerateDenominatorError,
     NotNormalizedError,
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 DENOMINATOR_TOL = 1e-9
-_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -189,57 +186,25 @@ def _betas(
     omega: float,
     kappa: float,
 ) -> tuple[float, float, float, float]:
-    """The corrected coefficients, from inputs that passed
-    :func:`_check_inputs` and :func:`_check_mixed_gap`."""
-    mixed_gap = 1.0 - alpha * alpha
-    coupling = kappa * alpha
-    square = coupling**2
-    cube = 2.0 * (2.0 * height_nm) ** 3
-    # divided by each gap twice: its square can leave the float range
-    # where the correction does not
-    d_sum = omega * (1.0 + alpha * alpha)
-    d_diff = omega * mixed_gap
-    # the difference gap rounds to 0 at a subnormal omega, where
-    # _check_mixed_gap lets only zero mixed amplitudes through; they take
-    # no correction, as dividing by an infinite gap gives
-    if d_diff == 0.0:
-        d_diff = math.inf
-    try:
-        # a square below the normal range loses digits or vanishes where
-        # the correction need not, so there the division comes first
-        if square >= _SMALLEST_NORMAL:
-            pref = square / cube
-        else:
-            pref = coupling * (coupling / cube)
-    except ZeroDivisionError:
-        # (2R)^3 rounds to 0 where a correction need not; one past the
-        # float range is infinite, and a zero amplitude takes none. The
-        # gaps go in as factors: omega (1 + alpha^2) can overflow here
-        s = 2.0 * height_nm
-        sum_gap = 1.0 + alpha * alpha
-        return tuple(
-            a - _exact_quotient((coupling, coupling, a, a), (2.0, s, s, s, omega, omega, gap, gap))
-            if a
-            else a
-            for a, gap in ((a1, sum_gap), (a2, mixed_gap), (a3, sum_gap), (a4, mixed_gap))
-        )
-    # a prefactor below the normal range has lost digits or vanished where
-    # the correction need not, so there each gap divides first. An infinite
-    # cube (2R overflows) leaves no correction, as the order below gives
-    if pref < _SMALLEST_NORMAL and cube < math.inf:
-        u1, u2 = coupling * a1 / d_sum, coupling * a2 / d_diff
-        u3, u4 = coupling * a3 / d_sum, coupling * a4 / d_diff
-        return (
-            a1 - u1 * (u1 / cube),
-            a2 - u2 * (u2 / cube),
-            a3 - u3 * (u3 / cube),
-            a4 - u4 * (u4 / cube),
-        )
+    """The corrected coefficients ``a - (kappa alpha a)^2 / (2 (2R)^3 d^2)``,
+    d the sum gap for a1 and a3 and the difference gap for a2 and a4, from
+    inputs that passed :func:`_check_inputs` and :func:`_check_mixed_gap`.
+
+    Each is rounded once from the number type
+    :func:`~qsnom.dipole._operands` gives, infinite past the float range;
+    a zero amplitude takes no correction and keeps its sign.
+    """
+    b1, b2, b3, b4, h, alpha, omega, kappa = _operands(
+        a1, a2, a3, a4, height_nm, alpha, omega, kappa
+    )
+    pref = (kappa * alpha) ** 2 / (2 * (2 * h) ** 3)
+    d_sum = omega * (1 + alpha * alpha)
+    d_diff = omega * (1 - alpha * alpha)
     return (
-        a1 - pref * a1**2 / d_sum / d_sum,
-        a2 - pref * a2**2 / d_diff / d_diff,
-        a3 - pref * a3**2 / d_sum / d_sum,
-        a4 - pref * a4**2 / d_diff / d_diff,
+        _rounded(b1 - pref * b1**2 / d_sum / d_sum) if b1 else float(a1),
+        _rounded(b2 - pref * b2**2 / d_diff / d_diff) if b2 else float(a2),
+        _rounded(b3 - pref * b3**2 / d_sum / d_sum) if b3 else float(a3),
+        _rounded(b4 - pref * b4**2 / d_diff / d_diff) if b4 else float(a4),
     )
 
 
@@ -297,38 +262,12 @@ def energy_shift(
 def _shift(
     a1: float, height_nm: float, alpha: float, omega: float, kappa: float
 ) -> float:
-    weight = -(a1**2)
-    coupling = kappa * alpha
-    square = coupling**2
-    denominator = (2.0 * height_nm) ** 3 * omega * (1.0 + alpha * alpha)
-    try:
-        # as in _betas, the division comes first where the square is not normal
-        if square >= _SMALLEST_NORMAL:
-            shift = weight * square / denominator
-        else:
-            shift = weight * (coupling * (coupling / denominator))
-    except ZeroDivisionError:
-        # the denominator rounds to 0 where the shift need not: -inf past
-        # the float range, 0 without coupling or amplitude
-        s = 2.0 * height_nm
-        shift = -_exact_quotient(
-            (a1, a1, coupling, coupling), (s, s, s, omega, 1.0 + alpha * alpha)
-        )
-    return shift + 0.0  # fold -0.0 to +0.0
-
-
-def _exact_quotient(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
-    """The product of ``numerator`` over that of ``denominator``, rounded
-    once from the exact rational, and infinite past the float range.
-
-    For the rare inputs where a float product rounds to 0 while the
-    quotient need not, such as (2R)^3 for 2R below ~2e-108.
-    """
-    quotient = math.prod(map(Fraction, numerator)) / math.prod(map(Fraction, denominator))
-    try:
-        return float(quotient)
-    except OverflowError:
-        return math.inf if quotient > 0 else -math.inf
+    """``-(a1 kappa alpha)^2 / ((2R)^3 omega (1 + alpha^2))``, rounded once
+    from the number type :func:`~qsnom.dipole._operands` gives: -inf past
+    the float range, +0.0 without coupling or amplitude."""
+    a1, h, alpha, omega, kappa = _operands(a1, height_nm, alpha, omega, kappa)
+    shift = -(a1**2) * (kappa * alpha) ** 2 / ((2 * h) ** 3 * omega * (1 + alpha * alpha))
+    return _rounded(shift) + 0.0  # fold -0.0 to +0.0
 
 
 def scattered_frequency(omega: float, delta_e: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import UnsupportedPermittivityError
 
@@ -38,6 +39,38 @@ def _positive_finite(**values: float) -> None:
             raise ValueError(f"{name} must be positive, got {value!r}")
         if value == math.inf:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _operands(*values: float) -> tuple:
+    """``values`` unchanged when each is 0 or has a magnitude in
+    [2^-64, 2^64], else all as ``Fraction``: the closed form's one rule.
+    A ``Fraction`` holds no inf or nan, so values of which one is not
+    finite are left to float arithmetic and its limits (0 at an infinite
+    separation).
+
+    The shift, the corrected coefficients, g and the closed inverse's c
+    are products and quotients of at most ~10 such factors, the
+    difference gap's square (1 - alpha^2)^2 >= 2^-104 among them. So on
+    floats inside the box each intermediate is 0 or within [2^-720,
+    2^720], and each quantity is a few roundings off its exact value (bar
+    what 1 - alpha^2 loses to cancellation as alpha nears 1). Outside,
+    they run on exact rationals, rounded once by :func:`_rounded`.
+    """
+    for value in values:
+        if not 2.0**-64 <= abs(value) <= 2.0**64 and value != 0:
+            return tuple(map(Fraction, values)) if all(map(math.isfinite, values)) else values
+    return values
+
+
+def _rounded(value: float | Fraction) -> float:
+    """A ``Fraction`` rounded once to a float, infinite past the float
+    range; a float as it is."""
+    if type(value) is not Fraction:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _alpha(epsilon_d: float) -> float:

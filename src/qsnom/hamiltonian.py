@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DielectricSample, TipDipole, _positive_finite, derive_image
+from .dipole import DielectricSample, TipDipole, _operands, _positive_finite, _rounded
+from .dipole import derive_image
 from .tensor import OperatorMatrix
 
 __all__ = [
@@ -85,18 +86,14 @@ def basis_index(i_a: int, i_b: int, n: int, photon_levels: int) -> int:
 def coupling_constant(kappa: float, alpha: float, separation: float) -> float:
     """Dipole-dipole coupling g = kappa * alpha / (2R)^3 in eV.
 
-    ``separation`` is the tip-image distance 2R in nm. Its cube raises
-    ``OverflowError`` where it overflows. Where it rounds to 0, g is
-    divided by the separation once per power instead; a g that overflows
-    there raises ``OverflowError`` in :func:`build_delta_h`'s wording, so
-    the coupling fails before the free Hamiltonian is built.
+    ``separation`` is the tip-image distance 2R in nm; an infinite one
+    couples nothing. g is rounded once from the number type
+    :func:`~qsnom.dipole._operands` gives, and one that is not finite
+    raises ``OverflowError`` in :func:`build_delta_h`'s wording, so the
+    coupling fails before the free Hamiltonian is built.
     """
-    try:
-        return kappa * alpha / separation**3
-    except ZeroDivisionError:
-        # below 1 each division only grows g, so one that overflows means
-        # g does
-        g = kappa * alpha / separation / separation / separation
+    kappa, alpha, separation = _operands(kappa, alpha, separation)
+    g = _rounded(kappa * alpha / separation**3)
     if not math.isfinite(g):
         raise OverflowError(f"coupling g = kappa*alpha/(2R)^3 is not finite: g={g!r}")
     return g

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .dipole import (  # noqa: F401
     _epsilon,
     _image_gap,
     _near_field_ratio,
+    _operands,
     _positive_finite,
     derive_image,
     near_field_check,
@@ -306,13 +308,22 @@ def _oracle_shift(
     return _oracle_pt2(height_nm, _alpha(epsilon_d), omega, kappa).e2
 
 
+def _shift_scale(height_nm: float, omega: float, kappa: float) -> float | Fraction:
+    """The closed shift's scale c = kappa^2 / ((2R)^3 omega), from a checked
+    geometry, on the number type :func:`~qsnom.dipole._operands` gives;
+    a ``Fraction`` stays unrounded, as c may leave the float range."""
+    height, omega, kappa = _operands(height_nm, omega, kappa)
+    return kappa * (kappa / ((2 * height) ** 3 * omega))
+
+
 @functools.lru_cache(maxsize=64, typed=True)
 def _band(
     lo: float, hi: float, height_nm: float, omega: float, kappa: float, method: str
-) -> tuple[float, float, float, float, str]:
-    """``(delta_lo, delta_hi, top, bottom, band)``: the route's shift at
-    each bracket end, the attainable band and its wording in an
-    :class:`OutOfBracketError`, from a checked geometry.
+) -> tuple[float, float, float, float, str, float | Fraction | None]:
+    """``(delta_lo, delta_hi, top, bottom, band, c)``: the route's shift at
+    each bracket end, the attainable band, its wording in an
+    :class:`OutOfBracketError` and the closed route's :func:`_shift_scale`
+    (``None`` on the oracle route), from a checked geometry.
 
     Every pixel of a scan at one geometry shares its band, so it is kept
     for the last 64 geometries and routes; an out-of-band pixel formats
@@ -326,7 +337,8 @@ def _band(
     # zero frequency, not at the bracket top
     bottom = 0.0 if abs(delta_hi) >= omega else closedform._emitted(omega, delta_hi)
     band = f" attainable band [{bottom!r}, {top!r}] on bracket ({lo:g}, {hi:g})"
-    return delta_lo, delta_hi, top, bottom, band
+    c = _shift_scale(height_nm, omega, kappa) if method == "closed" else None
+    return delta_lo, delta_hi, top, bottom, band, c
 
 
 def invert_permittivity(problem: InversionProblem) -> InversionResult:
@@ -358,10 +370,10 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
     # keep their class
     _positive_finite(omega=omega, height_nm=height, kappa=kappa)
     try:
-        delta_lo, delta_hi, top, bottom, band = _band(lo, hi, height, omega, kappa, method)
+        delta_lo, delta_hi, top, bottom, band, c = _band(lo, hi, height, omega, kappa, method)
     except TypeError:
         # an unhashable input (a 0-d array, say) has no cache entry
-        delta_lo, delta_hi, top, bottom, band = _band.__wrapped__(
+        delta_lo, delta_hi, top, bottom, band, c = _band.__wrapped__(
             lo, hi, height, omega, kappa, method
         )
     observed = problem.observed_omega_s
@@ -369,16 +381,10 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         return _band_edge(problem, top, bottom, band)
 
     if method == "closed":
-        # invert s = c x / (1 + x), x = alpha^2; kappa**2 alone can overflow
-        # where c cannot
-        s = omega - observed
-        try:
-            c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
-        except ZeroDivisionError:
-            # (2R)^3 omega rounds to 0 where c need not; as in the band's
-            # shift, c comes from its exact factors there
-            d = 2.0 * height
-            c = closedform._exact_quotient((kappa, kappa), (d, d, d, omega))
+        # invert s = c x / (1 + x), x = alpha^2, on c's number type; a float
+        # and a Fraction combine to a float, so s is exact where c is. In
+        # the band x < 1, which math.sqrt rounds once to a float
+        s = Fraction(omega) - Fraction(observed) if type(c) is Fraction else omega - observed
         a = math.sqrt(s / (c - s))
         # a rounds to 1 only for a bracket top next to the metallic limit
         epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)

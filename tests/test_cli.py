@@ -239,7 +239,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, override, error",
         [
-            ("simulate", "R_nm=1e200", "OverflowError"),
+            # 2R overflows, and so does the near-field ratio
+            ("simulate", "R_nm=1e308", "OverflowError"),
             # ||beta|| divides by the gap twice instead of by its square,
             # which rounded to 0, so the gap check names the failure
             ("simulate", "omega_eV=1e-300", "ShiftExceedsGapError"),
@@ -392,6 +393,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("model error: ShiftExceedsGapError: ")
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("height", ["1e100", "1e200", "1e300"])
+    def test_far_heights_answer(self, capsys, height, method):
+        # (2R)^3 overflows past R ~ 3e102 nm, where g and the shift are ~0
+        argv = ["simulate", "--set", f"R_nm={height}", "--set", f"forward_method={method}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        report = report_dict(capsys.readouterr().out)
+        assert 0.0 <= float(report["g_eV"]) < 1e-300
+        assert report["near_field_pass"] == "false"
+        assert "near-field check failed" in report["warnings"]
 
     def test_nan_near_field_ratio_is_a_model_error(self, capsys):
         # 2R and hbar*c/omega both overflow, and their ratio is nan

@@ -1,19 +1,24 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsnom import closedform, inversion
 from qsnom.dipole import (
     HBAR_C_EV_NM,
     DielectricSample,
     ImageDipole,
     TipDipole,
+    _operands,
+    _rounded,
     derive_image,
     near_field_check,
 )
+from qsnom.hamiltonian import coupling_constant
 from qsnom.errors import UnsupportedPermittivityError
 
 
@@ -183,3 +188,130 @@ class TestNearFieldCheck:
             2.0 * height / HBAR_C_EV_NM, rel=1e-12
         )
         assert report.passed == (report.ratio < 0.1)
+
+
+LOW, HIGH = 2.0**-64, 2.0**64
+# the box's edges and their neighbours on either side
+EDGES = tuple(
+    x for edge in (LOW, HIGH) for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+)
+TOP_ALPHA = 1.0 - 2.0**-53  # the largest alpha below 1
+
+
+def box():
+    return st.one_of(st.sampled_from(EDGES), st.floats(LOW, HIGH))
+
+
+def alphas():
+    return st.one_of(
+        st.sampled_from((0.0, TOP_ALPHA) + EDGES[:3]), st.floats(LOW, TOP_ALPHA)
+    )
+
+
+def amplitudes():
+    return st.one_of(st.sampled_from((0.0, -0.0)), box(), box().map(lambda x: -x))
+
+
+def ulps(value, exact, scale=None):
+    """|value - exact| in units in the last place of ``scale`` (of
+    ``exact`` rounded, by default)."""
+    reference = _rounded(exact if scale is None else scale)
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(reference))
+
+
+class TestFloatBox:
+    """Inside [2^-64, 2^64] the closed form runs on floats, each quantity a
+    few roundings off its exact value; outside, on exact rationals rounded
+    once. Each exact value below is spelled with ``Fraction`` here."""
+
+    def test_operands_inside_the_box_are_the_values(self):
+        values = (LOW, HIGH, 0.0, -0.0, -1.0, 3)
+        operands = _operands(*values)
+        assert all(x is v for x, v in zip(operands, values, strict=True))
+
+    @pytest.mark.parametrize("outside", [EDGES[0], EDGES[-1], -5e-324, 1e300])
+    def test_one_operand_outside_makes_all_fractions(self, outside):
+        operands = _operands(1.0, outside, 0.0)
+        assert all(type(x) is Fraction for x in operands)
+        assert operands == (1, Fraction(outside), 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_operands_with_one_not_finite_are_the_values(self, bad):
+        # a Fraction holds no inf or nan; float arithmetic takes its limits
+        values = (1e300, bad, 1.0)
+        operands = _operands(*values)
+        assert all(x is v for x, v in zip(operands, values, strict=True))
+
+    def test_rounded(self):
+        assert _rounded(Fraction(1, 3)) == 1 / 3
+        assert _rounded(Fraction(10) ** 400) == math.inf
+        assert _rounded(-(Fraction(10) ** 400)) == -math.inf
+        assert _rounded(Fraction(1, 10**400)) == 0.0
+        assert _rounded(0.1) == 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(a1=amplitudes(), height=box(), alpha=alphas(), omega=box(), kappa=box())
+    def test_shift(self, a1, height, alpha, omega, kappa):
+        exact = -(Fraction(a1) ** 2) * (Fraction(kappa) * Fraction(alpha)) ** 2 / (
+            (2 * Fraction(height)) ** 3 * Fraction(omega) * (1 + Fraction(alpha) ** 2)
+        )
+        shift = closedform._shift(a1, height, alpha, omega, kappa)
+        assert math.isfinite(shift)
+        if exact == 0:
+            assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
+        else:
+            assert ulps(shift, exact) <= 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        amps=st.tuples(amplitudes(), amplitudes(), amplitudes(), amplitudes()),
+        height=box(),
+        alpha=alphas(),
+        omega=box(),
+        kappa=box(),
+    )
+    def test_betas(self, amps, height, alpha, omega, kappa):
+        beta = closedform._betas(*amps, height, alpha, omega, kappa)
+        pref = (Fraction(kappa) * Fraction(alpha)) ** 2 / (2 * (2 * Fraction(height)) ** 3)
+        d_sum = Fraction(omega) * (1 + Fraction(alpha) ** 2)
+        d_diff = Fraction(omega) * (1 - Fraction(alpha) ** 2)
+        for a, gap, value in zip(amps, (d_sum, d_diff, d_sum, d_diff), beta):
+            correction = pref * Fraction(a) ** 2 / gap**2
+            if a == 0:
+                # no correction, and the amplitude's sign is kept
+                assert (value, math.copysign(1.0, value)) == (a, math.copysign(1.0, a))
+            elif _rounded(Fraction(a) - correction) in (math.inf, -math.inf):
+                assert value == _rounded(Fraction(a) - correction)
+            else:
+                # a - correction can cancel, so the roundings count at the
+                # larger of the two; 1 - alpha^2 on floats cancels too, by
+                # its condition number alpha^2 / (1 - alpha^2), squared in
+                # the correction
+                scale = max(abs(Fraction(a)), correction)
+                bound = 8 if gap is d_sum else 8 + 4 * alpha**2 / (1 - alpha**2)
+                assert ulps(value, Fraction(a) - correction, scale) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=box(), alpha=alphas(), separation=box())
+    def test_coupling(self, kappa, alpha, separation):
+        exact = Fraction(kappa) * Fraction(alpha) / Fraction(separation) ** 3
+        g = coupling_constant(kappa, alpha, separation)
+        assert g == 0.0 if exact == 0 else ulps(g, exact) <= 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(height=box(), omega=box(), kappa=box())
+    def test_closed_inverse_scale(self, height, omega, kappa):
+        exact = Fraction(kappa) ** 2 / ((2 * Fraction(height)) ** 3 * Fraction(omega))
+        c = inversion._shift_scale(height, omega, kappa)
+        assert ulps(_rounded(c), exact) <= 4
+        inside = all(LOW <= x <= HIGH for x in (height, omega, kappa))
+        assert type(c) is (float if inside else Fraction)
+
+    @pytest.mark.parametrize("height", [0.5, 1e-110])
+    def test_negative_zero_amplitude_keeps_its_sign(self, height):
+        a = closedform.InitialCoefficients(1.0, -0.0, 0.0, -0.0)
+        for beta in (
+            closedform._betas(1.0, -0.0, 0.0, -0.0, height, 0.5, 1e300, 1.0),
+            closedform.beta_coefficients(a, height, 0.5, 1e300, 1.0).as_array(),
+        ):
+            assert [math.copysign(1.0, b) for b in beta[1:]] == [-1.0, 1.0, -1.0]

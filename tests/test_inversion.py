@@ -3,7 +3,6 @@ import dataclasses
 import inspect
 import math
 import pickle
-import sys
 import warnings
 from fractions import Fraction
 
@@ -171,6 +170,30 @@ class TestForward:
                 forward(3.0, 1e-110, 1e300, 1.0, method=method)
             assert str(caught.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
         assert closedform.energy_shift(1.0, 1e-110, 0.5, 1e300, 1.0) < 1e29
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_coupling_that_overflows_where_the_cube_is_subnormal(self, method):
+        # (2R)^3 = 8e-315 is subnormal, not 0, and g = 0.5 / 8e-315
+        # overflows while the shift, ~2.5e13 eV, is far below the 1e300 eV
+        # gap; both routes refuse the infinite g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as caught:
+                forward(3.0, 1e-105, 1e300, 1.0, method=method)
+        assert str(caught.value) == "coupling g = kappa*alpha/(2R)^3 is not finite: g=inf"
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("height_nm", [1e100, 1e200, 1e300])
+    def test_far_heights_answer(self, height_nm, method):
+        # (2R)^3 overflows past R ~ 3e102 nm, where g and the shift are ~0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = forward(3.0, height_nm, 1.0, 0.05, method=method)
+        assert 0.0 <= result.g < 1e-300
+        assert -1e-300 < result.delta_e <= 0.0
+        assert result.omega_s == 1.0
+        assert not result.near_field_passed
+        assert result.warnings[-1].startswith("near-field check failed")
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_coupling_whose_square_underflows_is_a_shift_past_the_gap(self, method):
@@ -403,6 +426,31 @@ class TestInversion:
             result = invert_permittivity(InversionProblem(observed, 1e-110, 1.0, 1e-165))
         assert result.iterations == 0
         assert result.epsilon_d == pytest.approx(epsilon_d, rel=1e-9)
+
+    def test_closed_inverse_where_c_overflows(self):
+        # c = kappa^2 / ((2R)^3 omega) ~ 1.25e310 overflows, while the
+        # measurement, which epsilon_d = 1 + 1e-6 emits, lies inside a
+        # finite band; c and s = omega - observed are taken exactly
+        problem = InversionProblem(9.968750031255127e299, 1e-101, 1e300, 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invert_permittivity(problem)
+        assert result.iterations == 0
+        assert result.epsilon_d == pytest.approx(1.000001, rel=1e-12)
+        assert result.residual == 0.0
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_infinite_separation_couples_nothing(self, method):
+        # 2R = 2e308 overflows to inf, which no Fraction holds: g and the
+        # shifts are 0, so the band is the single point omega
+        assert hamiltonian.coupling_constant(1.0, 0.5, math.inf) == 0.0
+        problem = InversionProblem(1.0, 1e308, 1.0, 1.0, method=method)
+        assert invert_permittivity(problem) == inversion.InversionResult(1.0 + 1e-9, 0, 0.0)
+        with pytest.raises(OutOfBracketError) as caught:
+            invert_permittivity(dataclasses.replace(problem, observed_omega_s=0.5))
+        assert str(caught.value) == (
+            "observed omega_s 0.5 below attainable band [1.0, 1.0] on bracket (1, 1e+06)"
+        )
 
     def test_oracle_coupling_fails_before_the_free_hamiltonian(self):
         # (2R)^3 underflows to 0, so g overflows, while omega + omega_img +
@@ -988,12 +1036,12 @@ class TestRunSweep:
     def test_float_overflow_is_recorded(self):
         spec = SweepSpec(
             axis="R",
-            values=(1.0, 1e200),
+            values=(1.0, 1e308),
             fixed={"epsilon_d": 3.0, "omega": 1.0, "kappa": 0.05},
         )
         rows = run_sweep(spec)
         assert rows[0]["error"] == ""
-        assert rows[1]["error"].startswith("OverflowError:")
+        assert rows[1]["error"].startswith("OverflowError: near-field ratio overflows: ")
 
     def test_warning_column_joined(self):
         spec = SweepSpec(
@@ -1117,15 +1165,17 @@ def composed_inverse(problem):
     if edge is not None:
         return edge
     observed = problem.observed_omega_s
-    shift = omega - observed
-    try:
+    if all(2.0**-64 <= v <= 2.0**64 for v in (height, omega, kappa)):
+        shift = omega - observed
         c = kappa * (kappa / ((2.0 * height) ** 3 * omega))
-    except ZeroDivisionError:
-        # (2R)^3 omega rounds to 0: c = kappa^2 / ((2R)^3 omega), rounded
-        # once from the exact rational
-        exact = Fraction(kappa) ** 2 / (Fraction(2.0 * height) ** 3 * Fraction(omega))
-        c = float(exact) if exact <= Fraction(sys.float_info.max) else math.inf
-    a = math.sqrt(shift / (c - shift))
+        x = shift / (c - shift)
+    else:
+        # outside the float box c = kappa^2 / ((2R)^3 omega) and the shift
+        # are exact rationals, and x = alpha^2 <= 1 is rounded once
+        shift = Fraction(omega) - Fraction(observed)
+        c = Fraction(kappa) ** 2 / ((2 * Fraction(height)) ** 3 * Fraction(omega))
+        x = float(shift / (c - shift))
+    a = math.sqrt(x)
     epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)
     omega_s = closedform.scattered_frequency(omega, delta_e(epsilon_d))
     residual = abs(omega_s - observed)
@@ -1150,7 +1200,7 @@ def strict_outcome(call):
     return result if isinstance(result, tuple) else repr(result)
 
 
-EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan)
+EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-105, 1e300, 1e308, math.inf, -math.inf, math.nan)
 
 
 def extreme_or(strategy):
@@ -1175,6 +1225,8 @@ class TestClosedRouteParity:
         )
 
     @settings(max_examples=500, deadline=None)
+    # (2R)^3 is subnormal and g overflows, while the shift is finite
+    @example(epsilon_d=3.0, height_nm=1e-105, omega=1e300, kappa=1.0, near_field_factor=0.1)
     @given(
         epsilon_d=extreme_or(st.floats(1.0, 1e4)),
         height_nm=extreme_or(st.floats(0.05, 10.0)),

@@ -33,7 +33,9 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-EXTREMES = (0.0, -1.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e300, 1e308, math.inf, math.nan)
+EXTREMES = (
+    0.0, -1.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-105, 1e200, 1e300, 1e308, math.inf, math.nan
+)
 EPSILON_EXTREMES = EXTREMES + (1.0, 1.001, 1e17)
 ALPHA_EXTREMES = (0.0, 1.0 - 2.0**-53, 1.0, -0.1, math.nan)
 MAX_ITERS = (200, 200, 10, 1)
