@@ -58,7 +58,9 @@ def _operands(*values: float) -> tuple:
     """
     for value in values:
         if not 2.0**-64 <= abs(value) <= 2.0**64 and value != 0:
-            return tuple(map(Fraction, values)) if all(map(math.isfinite, values)) else values
+            if all(map(math.isfinite, values)):
+                # a 0-d array is no Rational, but its float is
+                return tuple(Fraction(float(x)) for x in values)
     return values
 
 

@@ -384,7 +384,8 @@ def invert_permittivity(problem: InversionProblem) -> InversionResult:
         # invert s = c x / (1 + x), x = alpha^2, on c's number type; a float
         # and a Fraction combine to a float, so s is exact where c is. In
         # the band x < 1, which math.sqrt rounds once to a float
-        s = Fraction(omega) - Fraction(observed) if type(c) is Fraction else omega - observed
+        exact = type(c) is Fraction
+        s = Fraction(float(omega)) - Fraction(float(observed)) if exact else omega - observed
         a = math.sqrt(s / (c - s))
         # a rounds to 1 only for a bracket top next to the metallic limit
         epsilon_d = hi if a >= 1.0 else min(max((1.0 + a) / (1.0 - a), lo), hi)

@@ -18,8 +18,8 @@ from qsnom.dipole import (
     derive_image,
     near_field_check,
 )
-from qsnom.hamiltonian import coupling_constant
 from qsnom.errors import UnsupportedPermittivityError
+from qsnom.hamiltonian import coupling_constant
 
 
 class TestSampleResponse:
@@ -234,6 +234,11 @@ class TestFloatBox:
         operands = _operands(1.0, outside, 0.0)
         assert all(type(x) is Fraction for x in operands)
         assert operands == (1, Fraction(outside), 0)
+
+    def test_zero_dimensional_array_outside_makes_fractions(self):
+        operands = _operands(np.array(1e300), np.float64(2.0))
+        assert operands == (Fraction(1e300), 2)
+        assert all(type(x) is Fraction for x in operands)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_operands_with_one_not_finite_are_the_values(self, bad):

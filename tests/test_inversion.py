@@ -1504,6 +1504,17 @@ class TestBandCache:
         assert invert_permittivity(array) == invert_permittivity(plain)
         assert inversion._band.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_unhashable_input_outside_the_float_box(self, cold_band, method):
+        # R = 1e-110 nm and kappa = 1e-165 run on exact rationals, which a
+        # 0-d array reaches through its float
+        plain = InversionProblem(0.975, 1e-110, 1.0, 1e-165, method=method)
+        array = InversionProblem(*map(np.array, (0.975, 1e-110, 1.0, 1e-165)), method=method)
+        expected = outcome(lambda: invert_permittivity(plain))
+        cached = inversion._band.cache_info().currsize
+        assert outcome(lambda: invert_permittivity(array)) == expected
+        assert inversion._band.cache_info().currsize == cached
+
 
 CONTRACT_ERRORS = (ValueError, ArithmeticError, QsnomError)
 
